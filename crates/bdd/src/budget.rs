@@ -45,10 +45,6 @@ pub enum TruncationReason {
     StepBudget,
     /// A deterministic fault from the `fault-inject` schedule fired.
     InjectedFault,
-    /// A parallel worker died (panic or injected spawn/import failure) and
-    /// the pass was abandoned; the owner's manager remains usable for a
-    /// sequential retry.
-    WorkerLoss,
 }
 
 impl fmt::Display for TruncationReason {
@@ -59,7 +55,6 @@ impl fmt::Display for TruncationReason {
             TruncationReason::NodeBudget => "NodeBudget",
             TruncationReason::StepBudget => "StepBudget",
             TruncationReason::InjectedFault => "InjectedFault",
-            TruncationReason::WorkerLoss => "WorkerLoss",
         };
         f.write_str(s)
     }
@@ -99,31 +94,23 @@ pub enum FaultSite {
     TableGrowth,
     /// The computed cache grew its entry array.
     CacheGrowth,
-    /// A worker replica imported the shared artefacts or a frontier.
-    ReplicaImport,
-    /// The owner spawned a parallel worker.
-    WorkerSpawn,
 }
 
 #[cfg(feature = "fault-inject")]
 impl FaultSite {
-    const COUNT: usize = 4;
+    const COUNT: usize = 2;
 
     fn index(self) -> usize {
         match self {
             FaultSite::TableGrowth => 0,
             FaultSite::CacheGrowth => 1,
-            FaultSite::ReplicaImport => 2,
-            FaultSite::WorkerSpawn => 3,
         }
     }
 
     fn from_index(i: usize) -> Self {
         match i {
             0 => FaultSite::TableGrowth,
-            1 => FaultSite::CacheGrowth,
-            2 => FaultSite::ReplicaImport,
-            _ => FaultSite::WorkerSpawn,
+            _ => FaultSite::CacheGrowth,
         }
     }
 }
@@ -132,18 +119,13 @@ impl FaultSite {
 ///
 /// Each armed site carries a countdown: the fault fires on the `n`-th event
 /// observed at that site (table/cache growths are observed at the next
-/// checkpoint after the growth, replica imports and worker spawns at the
-/// call site). Because the kernel's event sequence is deterministic for a
-/// given query, the same schedule trips at the same point on every run.
-/// The optional `worker_panic` entry makes one parallel worker panic at a
-/// given pass, exercising the pool's panic-capture path.
+/// checkpoint after the growth). Because the kernel's event sequence is
+/// deterministic for a given query, the same schedule trips at the same
+/// point on every run.
 #[cfg(feature = "fault-inject")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSchedule {
     countdown: [Option<u32>; FaultSite::COUNT],
-    /// Make worker `worker_panic.0` panic at (0-based) parallel pass
-    /// `worker_panic.1`.
-    pub worker_panic: Option<(usize, u32)>,
 }
 
 #[cfg(feature = "fault-inject")]
@@ -172,9 +154,9 @@ impl FaultSchedule {
         FaultSchedule::default().trip(site, nth)
     }
 
-    /// Whether any site (or the worker panic) is armed.
+    /// Whether any site is armed.
     pub fn is_armed(&self) -> bool {
-        self.worker_panic.is_some() || self.countdown.iter().any(|c| c.is_some())
+        self.countdown.iter().any(|c| c.is_some())
     }
 
     /// Records `count` events at `site`; returns `true` when the armed
@@ -194,106 +176,10 @@ impl FaultSchedule {
     }
 }
 
-/// Deterministic *disk* failure points exercised by the `fault-inject`
-/// feature: the snapshot layer consults a [`DiskFaultSchedule`] at each of
-/// these sites, so torn writes, lost renames and bit-rot on read are all
-/// reproducible in tests. Kept separate from [`FaultSite`] so arming a
-/// disk schedule never perturbs the seeded kernel-fault mapping that
-/// existing tests pin.
-#[cfg(feature = "fault-inject")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskFaultSite {
-    /// A snapshot write persists only a prefix of its bytes (a torn write
-    /// that still gets renamed into place — the checksum must catch it).
-    ShortWrite,
-    /// The atomic rename publishing a finished temp file fails; the
-    /// snapshot is lost but nothing torn becomes visible.
-    FailedRename,
-    /// A snapshot read returns bytes with one bit flipped (media rot).
-    CorruptRead,
-}
-
-#[cfg(feature = "fault-inject")]
-impl DiskFaultSite {
-    const COUNT: usize = 3;
-
-    fn index(self) -> usize {
-        match self {
-            DiskFaultSite::ShortWrite => 0,
-            DiskFaultSite::FailedRename => 1,
-            DiskFaultSite::CorruptRead => 2,
-        }
-    }
-
-    fn from_index(i: usize) -> Self {
-        match i {
-            0 => DiskFaultSite::ShortWrite,
-            1 => DiskFaultSite::FailedRename,
-            _ => DiskFaultSite::CorruptRead,
-        }
-    }
-}
-
-/// A seeded, deterministic schedule of injected disk failures, consumed by
-/// the snapshot store. Each armed site fires on its `n`-th observed event
-/// and then disarms, mirroring [`FaultSchedule`]'s countdown discipline.
-#[cfg(feature = "fault-inject")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DiskFaultSchedule {
-    countdown: [Option<u32>; DiskFaultSite::COUNT],
-}
-
-#[cfg(feature = "fault-inject")]
-impl DiskFaultSchedule {
-    /// An empty schedule (no faults armed).
-    pub fn none() -> Self {
-        DiskFaultSchedule::default()
-    }
-
-    /// Arms `site` to fail on its `nth` (0-based) observed event.
-    pub fn trip(mut self, site: DiskFaultSite, nth: u32) -> Self {
-        self.countdown[site.index()] = Some(nth);
-        self
-    }
-
-    /// Derives a schedule from a seed: one site armed at a small event
-    /// index via a splitmix64 draw, so a seed sweep covers every site.
-    pub fn from_seed(seed: u64) -> Self {
-        let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        let site = DiskFaultSite::from_index((x as usize) % DiskFaultSite::COUNT);
-        let nth = ((x >> 8) % 3) as u32;
-        DiskFaultSchedule::default().trip(site, nth)
-    }
-
-    /// Whether any site is armed.
-    pub fn is_armed(&self) -> bool {
-        self.countdown.iter().any(|c| c.is_some())
-    }
-
-    /// Records one event at `site`; returns `true` when the armed
-    /// countdown is consumed and the fault must fire (the site disarms).
-    pub fn observe(&mut self, site: DiskFaultSite) -> bool {
-        match &mut self.countdown[site.index()] {
-            Some(0) => {
-                self.countdown[site.index()] = None;
-                true
-            }
-            Some(left) => {
-                *left -= 1;
-                false
-            }
-            None => false,
-        }
-    }
-}
-
 /// The resource envelope of one governed query.
 ///
-/// Cheap to copy: parallel workers receive a copy sharing the same absolute
-/// deadline, so all replicas of a query expire together.
+/// Cheap to copy: the deadline is absolute, so a copy installed later
+/// expires at the same instant.
 #[derive(Debug, Clone, Copy)]
 pub struct Budget {
     deadline: Option<Instant>,
@@ -373,8 +259,8 @@ impl Budget {
         self.breached
     }
 
-    /// Records a breach observed outside the budget's own checks (e.g. a
-    /// worker loss). The first recorded reason wins and stays sticky.
+    /// Records a breach observed outside the budget's own checks. The first
+    /// recorded reason wins and stays sticky.
     pub fn note_breach(&mut self, reason: TruncationReason) {
         if self.breached.is_none() {
             self.breached = Some(reason);
@@ -484,10 +370,13 @@ mod tests {
     #[test]
     fn noted_breach_wins_and_is_first_reason() {
         let mut b = Budget::new().with_step_ceiling(0);
-        b.note_breach(TruncationReason::WorkerLoss);
+        b.note_breach(TruncationReason::InjectedFault);
         b.note_breach(TruncationReason::Deadline);
-        assert_eq!(b.breached(), Some(TruncationReason::WorkerLoss));
-        assert_eq!(b.check(0).unwrap_err().reason, TruncationReason::WorkerLoss);
+        assert_eq!(b.breached(), Some(TruncationReason::InjectedFault));
+        assert_eq!(
+            b.check(0).unwrap_err().reason,
+            TruncationReason::InjectedFault
+        );
     }
 
     #[test]
@@ -529,35 +418,5 @@ mod tests {
             sites.insert(s.countdown.iter().position(|c| c.is_some()).unwrap());
         }
         assert_eq!(sites.len(), FaultSite::COUNT, "seeds reach every site");
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn disk_fault_schedule_counts_events_and_disarms() {
-        let mut s = DiskFaultSchedule::none().trip(DiskFaultSite::ShortWrite, 2);
-        assert!(s.is_armed());
-        // Other sites stay inert.
-        assert!(!s.observe(DiskFaultSite::FailedRename));
-        assert!(!s.observe(DiskFaultSite::ShortWrite));
-        assert!(!s.observe(DiskFaultSite::ShortWrite));
-        assert!(s.observe(DiskFaultSite::ShortWrite), "fires on the third");
-        assert!(!s.observe(DiskFaultSite::ShortWrite), "then disarms");
-        assert!(!s.is_armed());
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn seeded_disk_schedules_are_deterministic_and_cover_sites() {
-        assert_eq!(
-            DiskFaultSchedule::from_seed(3),
-            DiskFaultSchedule::from_seed(3)
-        );
-        let mut sites = std::collections::HashSet::new();
-        for seed in 0..64u64 {
-            let s = DiskFaultSchedule::from_seed(seed);
-            assert!(s.is_armed());
-            sites.insert(s.countdown.iter().position(|c| c.is_some()).unwrap());
-        }
-        assert_eq!(sites.len(), DiskFaultSite::COUNT, "seeds reach every site");
     }
 }

@@ -54,9 +54,9 @@ mod zdd;
 pub use analysis::SatAssignments;
 pub use budget::{Budget, Interrupt, TruncationReason};
 #[cfg(feature = "fault-inject")]
-pub use budget::{DiskFaultSchedule, DiskFaultSite, FaultSchedule, FaultSite};
+pub use budget::{FaultSchedule, FaultSite};
 pub use isop::Cube;
 pub use manager::{BddManager, ManagerStats, OpCacheStats, Ref, VarId};
 pub use reorder::SiftConfig;
-pub use transfer::{replica_manager, snapshot_checksum, SerializedBdd, SnapshotError};
+pub use transfer::{snapshot_checksum, SerializedBdd, SnapshotError};
 pub use zdd::{ZddManager, ZddRef, ZddUpdate, ZddUpdateAction};

@@ -200,16 +200,9 @@ pub struct ManagerStats {
     pub cache_overwrites: u64,
     /// Per-operation cache counters of `and` (also carries the traffic of
     /// `or` and `diff`, which are derived through De Morgan on complement
-    /// edges and share the `and` cache entries).
+    /// edges and share the `and` cache entries; negation is an O(1) bit
+    /// flip that touches neither the cache nor the arena).
     pub op_and: OpCacheStats,
-    /// Per-operation cache counters of `or`. Always zero under complement
-    /// edges: `or` is derived (`¬(¬f ∧ ¬g)`) and its traffic is accounted
-    /// to [`ManagerStats::op_and`]. Kept for reporting compatibility.
-    pub op_or: OpCacheStats,
-    /// Per-operation cache counters of `not`. Always zero under complement
-    /// edges: negation is an O(1) bit flip that touches neither the cache
-    /// nor the arena. Kept for reporting compatibility.
-    pub op_not: OpCacheStats,
     /// Per-operation cache counters of `exists`.
     pub op_exists: OpCacheStats,
     /// Per-operation cache counters of the fused relational product
@@ -238,14 +231,10 @@ impl ManagerStats {
     }
 
     /// The per-operation counters paired with their operation names, for
-    /// iteration (statistics tables, JSON records). `or` and `not` remain
-    /// listed (as all-zero entries) so long-lived consumers of the record
-    /// format can observe their traffic vanishing under complement edges.
-    pub fn per_op(&self) -> [(&'static str, OpCacheStats); 5] {
+    /// iteration (statistics tables, JSON records).
+    pub fn per_op(&self) -> [(&'static str, OpCacheStats); 3] {
         [
             ("and", self.op_and),
-            ("or", self.op_or),
-            ("not", self.op_not),
             ("exists", self.op_exists),
             ("and_exists", self.op_and_exists),
         ]
@@ -304,11 +293,6 @@ pub struct BddManager {
     /// explicit reordering). Lets traversal schedulers detect that cached
     /// level information went stale (see [`BddManager::order_generation`]).
     pub(crate) order_generation: u64,
-    /// Peak live-node count reported by shard replica managers of this
-    /// manager (parallel traversal workers); folded into
-    /// [`BddManager::peak_live_nodes`] so parallel statistics account for
-    /// worker arenas too.
-    pub(crate) shard_peak: usize,
     /// The resource envelope governing this manager's operations, if any
     /// (see [`BddManager::install_budget`]).
     pub(crate) budget: Option<Budget>,
@@ -350,7 +334,6 @@ impl BddManager {
             peak_live: 1,
             gc_hint_threshold: 1 << 20,
             order_generation: 0,
-            shard_peak: 0,
             budget: None,
             #[cfg(feature = "fault-inject")]
             growths_seen: (0, 0),
@@ -603,22 +586,9 @@ impl BddManager {
     /// Exact high-water mark of the live-node count over the manager's
     /// lifetime, maintained on every allocation (so peaks *inside* one
     /// image computation are captured, not only those visible between
-    /// operations). Includes any shard peaks folded in through
-    /// [`BddManager::absorb_shard_peak`].
+    /// operations).
     pub fn peak_live_nodes(&self) -> usize {
-        self.peak_live
-            .max(self.live_node_count())
-            .max(self.shard_peak)
-    }
-
-    /// Folds the peak live-node count of a shard replica manager (a
-    /// parallel-traversal worker arena) into this manager's peak
-    /// accounting, so [`BddManager::peak_live_nodes`] reflects the largest
-    /// arena the whole traversal — owner or worker — ever held. Callers
-    /// that want combined-footprint peaks can pass the sum of the workers'
-    /// peaks of one pass.
-    pub fn absorb_shard_peak(&mut self, peak: usize) {
-        self.shard_peak = self.shard_peak.max(peak);
+        self.peak_live.max(self.live_node_count())
     }
 
     /// Total number of protections currently held on roots of this manager
@@ -734,31 +704,9 @@ impl BddManager {
             .check(live)
     }
 
-    /// Records one event at an out-of-kernel fault-injection site (replica
-    /// import, worker spawn); fails when the installed budget's schedule
-    /// trips on it. A manager without a budget observes nothing.
-    #[cfg(feature = "fault-inject")]
-    pub fn fault_event(&mut self, site: crate::budget::FaultSite) -> Result<(), Interrupt> {
-        match self.budget.as_mut() {
-            Some(b) => b.observe_fault_events(site, 1),
-            None => Ok(()),
-        }
-    }
-
     #[cfg(feature = "fault-inject")]
     fn table_growth_events(&self) -> u64 {
         self.unique.iter().map(|t| t.growth_events()).sum()
-    }
-
-    /// Total computed-cache lookups (hits plus misses) issued so far.
-    ///
-    /// Unlike wall time, this is a deterministic operation count: two runs
-    /// that issue the same operation sequence report identical values, so
-    /// deltas of this counter can be used as a reproducible cost metric
-    /// (e.g. for load balancing work across replica managers).
-    pub fn cache_lookups(&self) -> u64 {
-        let counters = self.cache.counters();
-        counters.hits() + counters.misses()
     }
 
     /// Returns a snapshot of manager statistics.
@@ -785,10 +733,6 @@ impl BddManager {
             cache_misses: counters.misses(),
             cache_overwrites: counters.overwrites,
             op_and: op(Op::And),
-            // `or` and `not` are derived under complement edges: zero cache
-            // traffic by construction (see the field docs).
-            op_or: OpCacheStats::default(),
-            op_not: OpCacheStats::default(),
             op_exists: op(Op::Exists),
             op_and_exists: op(Op::AndExists),
         }
@@ -1065,9 +1009,9 @@ mod tests {
         assert_eq!(s.num_vars, 2);
         assert!(s.live_nodes >= 3);
         assert_eq!(s.gc_runs, 1);
-        // Negation and disjunction report no cache traffic of their own.
-        assert_eq!(s.op_not.lookups(), 0);
-        assert_eq!(s.op_or.lookups(), 0);
+        // Disjunction has no cache traffic of its own: the `or` above is
+        // accounted entirely to `and`.
+        assert_eq!(s.op_and.lookups(), s.cache_hits + s.cache_misses);
     }
 
     #[test]

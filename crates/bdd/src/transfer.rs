@@ -1,7 +1,6 @@
 //! Subgraph transfer between managers: a compact, manager-independent
-//! serialization of a set of BDD roots, used by the parallel traversal to
-//! ship source sets and partial images between the owning manager and its
-//! worker-thread replicas.
+//! serialization of a set of BDD roots, used by the daemon's snapshots to
+//! persist reached sets and restore them into a fresh manager.
 //!
 //! A [`SerializedBdd`] is a bottom-up node-arena slice: children always
 //! precede parents, references are packed *edges* over slice-local serial
@@ -428,19 +427,17 @@ impl BddManager {
     }
 }
 
-/// Builds an empty replica manager matching the serialized variable order,
-/// ready to [`import_subgraph`](BddManager::import_subgraph) from the same
-/// source. Used to set up the per-thread shard managers of the parallel
-/// traversal.
-pub fn replica_manager(serialized: &SerializedBdd) -> BddManager {
-    let mut m = BddManager::with_vars(serialized.num_vars());
-    m.reorder_to(&serialized.order());
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An empty manager matching the serialized variable order, ready to
+    /// import from the same source.
+    fn matching_manager(serialized: &SerializedBdd) -> BddManager {
+        let mut m = BddManager::with_vars(serialized.num_vars());
+        m.reorder_to(&serialized.order());
+        m
+    }
 
     fn sample(m: &mut BddManager) -> Ref {
         let v = m.variables();
@@ -457,7 +454,7 @@ mod tests {
         let f = sample(&mut src);
         let ser = src.export_subgraph(&[f]);
         assert!(ser.num_nodes() > 0);
-        let mut dst = replica_manager(&ser);
+        let mut dst = matching_manager(&ser);
         let roots = dst.import_subgraph(&ser);
         assert_eq!(roots.len(), 1);
         for bits in 0u32..64 {
@@ -474,7 +471,7 @@ mod tests {
         let nf = src.not(f);
         // Export both polarities: one subgraph, two root edges.
         let ser = src.export_subgraph(&[nf, f]);
-        let mut dst = replica_manager(&ser);
+        let mut dst = matching_manager(&ser);
         let roots = dst.import_subgraph(&ser);
         assert_eq!(roots[0], dst.not(roots[1]));
         for bits in 0u32..64 {
@@ -519,7 +516,7 @@ mod tests {
         let src = BddManager::with_vars(3);
         let ser = src.export_subgraph(&[src.zero(), src.one()]);
         assert_eq!(ser.num_nodes(), 0);
-        let mut dst = replica_manager(&ser);
+        let mut dst = matching_manager(&ser);
         let roots = dst.import_subgraph(&ser);
         assert_eq!(roots, vec![dst.zero(), dst.one()]);
     }
@@ -531,7 +528,7 @@ mod tests {
         let ser = src.export_subgraph(&[f]);
         // The destination already holds the same function: import must
         // yield the *same* canonical handle, not a copy.
-        let mut dst = replica_manager(&ser);
+        let mut dst = matching_manager(&ser);
         let existing = sample(&mut dst);
         let roots = dst.import_subgraph(&ser);
         assert_eq!(roots[0], existing);
@@ -545,7 +542,7 @@ mod tests {
         let v = src.variables();
         src.reorder_to(&[v[5], v[3], v[1], v[0], v[2], v[4]]);
         let ser = src.export_subgraph(&[f]);
-        let mut dst = replica_manager(&ser);
+        let mut dst = matching_manager(&ser);
         assert_eq!(dst.current_order(), src.current_order());
         let roots = dst.import_subgraph(&ser);
         for bits in 0u32..64 {
@@ -586,7 +583,7 @@ mod tests {
         // Re-encoding the decoded value reproduces the bytes exactly.
         assert_eq!(back.to_bytes(tag), bytes);
         // And the decoded value imports like the original.
-        let mut dst = replica_manager(&back);
+        let mut dst = matching_manager(&back);
         let roots = dst.import_subgraph(&back);
         assert_eq!(roots[1], dst.not(roots[0]));
     }

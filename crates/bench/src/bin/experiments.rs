@@ -8,9 +8,8 @@
 //! experiments fig2                     encoding / toggling comparison (Figure 2, Section 3)
 //! experiments table1                   the 2-philosopher encoding (Tables 1-2, Figure 3/4)
 //! experiments ablation                 Gray vs binary codes, basic vs improved cover, sifting
-//! experiments strategies               Bfs vs Chaining vs Saturation fixpoint strategies per net
+//! experiments strategies               Bfs vs Saturation fixpoint strategies per net
 //! experiments orders                   BFS-distance vs toggling-chosen static variable order
-//! experiments scaling                  parallel traversal thread-scaling curves (Table-4 nets)
 //! experiments properties               CTL property suites of the bundled nets
 //! experiments check <props-file>       run a property file against its nets (or --check=FILE)
 //! experiments all [--paper-scale]      everything above except `check`
@@ -19,12 +18,13 @@
 //!
 //! Run with `cargo run --release -p pnsym-bench --bin experiments -- all`.
 //!
-//! `--strategy=bfs|bfs-full|chaining|chaining-index|saturation|parallel`
-//! selects the fixpoint strategy used by the table3/table4/smoke/properties/
-//! check analyses (default `bfs`); `--threads=N` sets the worker count of
-//! the `parallel` strategy (default 2). The `strategies` command always
-//! compares Bfs, Chaining and Saturation per net; `scaling` compares the
-//! parallel strategy at 1, 2 and 4 threads.
+//! `--strategy=bfs|bfs-full|saturation` selects the fixpoint strategy used
+//! by the table3/table4/smoke/properties/check/orders analyses and the
+//! sifting ablation (default `bfs`, the paper's algorithm, although the
+//! library default is saturation). The `strategies` command always compares
+//! Bfs and Saturation per net. The retired names `chaining`,
+//! `chaining-index`, `parallel` and `parallel-N`, and the retired
+//! `--threads=N` flag, exit with status 2.
 //!
 //! `--order=bfs|toggling` picks the static variable order of the
 //! table3/table4/smoke analyses (default `bfs`, the encoding's structural
@@ -68,9 +68,8 @@ use pnsym_bench::json::Value;
 use pnsym_bench::{net_by_spec, table3_workloads, table4_workloads, Scale, Workload};
 use pnsym_core::{
     analyze, analyze_zdd_governed, analyze_zdd_with, toggling_activity, toggling_of_state_codes,
-    AnalysisOptions, AnalysisReport, AssignmentStrategy, Budget, ChainingOrder, Encoding,
-    FixpointStrategy, Property, SiftPolicy, SymbolicContext, TraversalOptions, VariableOrder,
-    ZddAnalysisReport,
+    AnalysisOptions, AnalysisReport, AssignmentStrategy, Budget, Encoding, FixpointStrategy,
+    Property, SiftPolicy, SymbolicContext, TraversalOptions, VariableOrder, ZddAnalysisReport,
 };
 use pnsym_net::nets::{
     dme, figure1, muller, philosophers, property_suite, slotted_ring, DmeStyle, PropertySpec,
@@ -145,24 +144,6 @@ fn parse_budget_duration(s: &str) -> Option<Duration> {
         .map(|n| Duration::from_nanos(n.saturating_mul(nanos_per_unit)))
 }
 
-fn parse_strategy(name: &str, threads: usize) -> Option<FixpointStrategy> {
-    match name {
-        "bfs" => Some(FixpointStrategy::Bfs { use_frontier: true }),
-        "bfs-full" => Some(FixpointStrategy::Bfs {
-            use_frontier: false,
-        }),
-        "chaining" => Some(FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        }),
-        "chaining-index" => Some(FixpointStrategy::Chaining {
-            order: ChainingOrder::Index,
-        }),
-        "saturation" => Some(FixpointStrategy::Saturation),
-        "parallel" => Some(FixpointStrategy::Parallel { threads }),
-        _ => None,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paper_scale = args.iter().any(|a| a == "--paper-scale");
@@ -178,20 +159,19 @@ fn main() {
             a.strip_prefix("--json=").map(str::to_string)
         }
     });
-    let threads: usize = match args.iter().find_map(|a| a.strip_prefix("--threads=")) {
-        None => 2,
-        Some(n) => n.parse().unwrap_or_else(|_| {
-            eprintln!("--threads={n}: expected a positive integer");
-            std::process::exit(2);
-        }),
-    };
+    if args.iter().any(|a| a.starts_with("--threads")) {
+        eprintln!(
+            "--threads is retired with the parallel strategy \
+             (expected --strategy=bfs|bfs-full|saturation)"
+        );
+        std::process::exit(2);
+    }
+    // The paper's algorithm unless a strategy is named, so the tables keep
+    // reproducing the paper.
     let strategy = match args.iter().find_map(|a| a.strip_prefix("--strategy=")) {
-        None => FixpointStrategy::default(),
-        Some(name) => parse_strategy(name, threads).unwrap_or_else(|| {
-            eprintln!(
-                "unknown strategy `{name}` \
-                 (expected bfs|bfs-full|chaining|chaining-index|saturation|parallel)"
-            );
+        None => FixpointStrategy::Bfs { use_frontier: true },
+        Some(name) => name.parse().unwrap_or_else(|err| {
+            eprintln!("{err}");
             std::process::exit(2);
         }),
     };
@@ -239,10 +219,9 @@ fn main() {
         Some("table4") => table4(scale, strategy, order, budgets, &mut records),
         Some("fig2") => figure2(),
         Some("table1") => table1(),
-        Some("ablation") => ablation(),
+        Some("ablation") => ablation(strategy),
         Some("strategies") => strategies(scale, &mut records),
-        Some("orders") => orders(scale, &mut records),
-        Some("scaling") => scaling(scale, &mut records),
+        Some("orders") => orders(scale, strategy, &mut records),
         Some("properties") => properties(strategy, budgets, &mut records),
         Some("smoke") => smoke(strategy, order, budgets, &mut records),
         Some("check") => {
@@ -267,17 +246,16 @@ fn main() {
             table3(scale, strategy, order, budgets, &mut records);
             table4(scale, strategy, order, budgets, &mut records);
             strategies(scale, &mut records);
-            orders(scale, &mut records);
+            orders(scale, strategy, &mut records);
             properties(strategy, budgets, &mut records);
-            ablation();
+            ablation(strategy);
         }
         Some(other) => {
             eprintln!("unknown command `{other}`");
             eprintln!(
                 "usage: experiments \
-                 [table3|table4|fig2|table1|ablation|strategies|orders|scaling|properties|check|\
-                 smoke|all] \
-                 [--paper-scale] [--strategy=NAME] [--threads=N] [--order=bfs|toggling] \
+                 [table3|table4|fig2|table1|ablation|strategies|orders|properties|check|smoke|all] \
+                 [--paper-scale] [--strategy=NAME] [--order=bfs|toggling] \
                  [--json[=PATH]] [--check=FILE] [--time-budget=DUR] [--node-budget=N]"
             );
             std::process::exit(2);
@@ -759,42 +737,25 @@ fn smoke(
     println!("smoke OK");
 }
 
-/// Bfs vs Chaining vs Saturation comparison per net: the dense analysis of
-/// every table-3 and table-4 workload under the three strategies, medians
-/// over several runs. The marking counts must agree (the strategies
-/// compute the same fixpoint); what differs is the number of
-/// iterations/passes/sweeps, the peak node pressure, and the traversal
-/// time. The printed speedups are bfs/chaining and chaining/saturation.
+/// Bfs vs Saturation comparison per net: the dense analysis of every
+/// table-3 and table-4 workload under both strategies, medians over several
+/// runs. The marking counts must agree (the strategies compute the same
+/// fixpoint); what differs is the number of iterations/sweeps, the peak
+/// node pressure, and the traversal time. The printed speedup is
+/// bfs/saturation.
 fn strategies(scale: Scale, records: &mut Vec<Value>) {
     const SAMPLES: usize = 9;
+    println!("\n== Strategies: Bfs vs Saturation (dense encoding, median of {SAMPLES}) ====");
     println!(
-        "\n== Strategies: Bfs vs Chaining vs Saturation (dense encoding, median of {SAMPLES}) ===="
+        "{:<12} {:>12} | {:>5} {:>8} {:>9} | {:>5} {:>8} {:>9} | {:>6}",
+        "PN", "markings", "iters", "peak", "trav(ms)", "sweep", "peak", "trav(ms)", "b/s"
     );
     println!(
-        "{:<12} {:>12} | {:>5} {:>8} {:>9} | {:>5} {:>8} {:>9} | {:>5} {:>8} {:>9} | {:>6} {:>6}",
-        "PN",
-        "markings",
-        "iters",
-        "peak",
-        "trav(ms)",
-        "pass",
-        "peak",
-        "trav(ms)",
-        "sweep",
-        "peak",
-        "trav(ms)",
-        "b/c",
-        "c/s"
-    );
-    println!(
-        "{:<12} {:>12} | {:^24} | {:^24} | {:^24} |",
-        "", "", "bfs (frontier)", "chaining (structural)", "saturation (levels)"
+        "{:<12} {:>12} | {:^24} | {:^24} |",
+        "", "", "bfs (frontier)", "saturation (levels)"
     );
     let compared = [
         FixpointStrategy::Bfs { use_frontier: true },
-        FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        },
         FixpointStrategy::Saturation,
     ];
     let mut workloads = table3_workloads(scale);
@@ -830,31 +791,22 @@ fn strategies(scale: Scale, records: &mut Vec<Value>) {
             rows.push((representative, median_ms));
         }
         let (bfs, bfs_ms) = &rows[0];
-        let (chained, chain_ms) = &rows[1];
-        let (sat, sat_ms) = &rows[2];
-        assert_eq!(
-            bfs.num_markings, chained.num_markings,
-            "{name}: strategies disagree on the fixpoint"
-        );
+        let (sat, sat_ms) = &rows[1];
         assert_eq!(
             bfs.num_markings, sat.num_markings,
             "{name}: saturation disagrees on the fixpoint"
         );
         println!(
-            "{:<12} {:>12.3e} | {:>5} {:>8} {:>9.3} | {:>5} {:>8} {:>9.3} | {:>5} {:>8} {:>9.3} | {:>5.2}x {:>5.2}x",
+            "{:<12} {:>12.3e} | {:>5} {:>8} {:>9.3} | {:>5} {:>8} {:>9.3} | {:>5.2}x",
             name,
             bfs.num_markings,
             bfs.iterations,
             bfs.peak_live_nodes,
             bfs_ms,
-            chained.iterations,
-            chained.peak_live_nodes,
-            chain_ms,
             sat.iterations,
             sat.peak_live_nodes,
             sat_ms,
-            bfs_ms / chain_ms,
-            chain_ms / sat_ms
+            bfs_ms / sat_ms
         );
         for (report, median_ms) in &rows {
             let mut record = bdd_record("strategies", &name, "improved-dense", report);
@@ -865,9 +817,7 @@ fn strategies(scale: Scale, records: &mut Vec<Value>) {
             records.push(record);
         }
     }
-    println!(
-        "(all strategies must match bfs markings exactly; saturation ≥ chaining on table-3 nets)"
-    );
+    println!("(both strategies must match the bfs markings exactly)");
 }
 
 /// Static-variable-order comparison: the dense analysis of every table-3
@@ -875,7 +825,7 @@ fn strategies(scale: Scale, records: &mut Vec<Value>) {
 /// order (Section 5.2), medians over several interleaved runs. The
 /// marking counts must agree (the order only changes diagram shape); what
 /// differs is the node pressure and the traversal time.
-fn orders(scale: Scale, records: &mut Vec<Value>) {
+fn orders(scale: Scale, strategy: FixpointStrategy, records: &mut Vec<Value>) {
     const SAMPLES: usize = 5;
     println!("\n== Orders: BFS-distance vs toggling static order (dense, median of {SAMPLES}) ==");
     println!(
@@ -894,7 +844,10 @@ fn orders(scale: Scale, records: &mut Vec<Value>) {
         let mut failed = false;
         'sampling: for _ in 0..SAMPLES {
             for (oi, &order) in compared.iter().enumerate() {
-                match analyze(&net, &AnalysisOptions::dense().with_order(order)) {
+                let options = AnalysisOptions::dense()
+                    .with_strategy(strategy)
+                    .with_order(order);
+                match analyze(&net, &options) {
                     Ok(r) => runs[oi].push(r),
                     Err(e) => {
                         println!("{name:<12} {order} analysis failed: {e}");
@@ -943,114 +896,6 @@ fn orders(scale: Scale, records: &mut Vec<Value>) {
         }
     }
     println!("(both orders must agree on the markings; toggling helps where activity is skewed)");
-}
-
-/// Thread-scaling curves of the parallel cluster-image traversal: the dense
-/// analysis of every table-4 workload (the DME and JJreg families, whose
-/// cluster structure gives the workers something to chew on) at 1, 2 and 4
-/// worker threads, medians over several interleaved runs. The 1-thread arm
-/// runs the full sharded machinery on a single worker, so the printed
-/// speedups isolate the parallelism itself from the serialize/merge
-/// overhead.
-///
-/// Two time columns per thread count: the raw wall clock, and the
-/// traversal *critical path* (owner serial work + slowest worker busy time
-/// per pass — `AnalysisReport::traversal_critical_path`). On a host with at
-/// least one free core per worker the two coincide; on an oversubscribed
-/// host (e.g. a 1-core CI box) the wall clock measures the OS time-slicing
-/// `threads` workers onto too few cores, so the speedup columns are
-/// computed from the critical path, which models the traversal with enough
-/// cores. The host's core count is printed alongside so a reader can tell
-/// which regime the wall column was measured in.
-fn scaling(scale: Scale, records: &mut Vec<Value>) {
-    const SAMPLES: usize = 9;
-    const THREADS: [usize; 3] = [1, 2, 4];
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\n== Scaling: parallel traversal threads (dense encoding, median of {SAMPLES}) ====");
-    println!(
-        "host cores: {cores} — speedups read the critical path (wall clock only \
-         tracks it when every worker gets its own core)"
-    );
-    println!(
-        "{:<12} {:>12} | {:>21} {:>21} {:>21} | {:>6} {:>6}",
-        "PN",
-        "markings",
-        "1-thr wall/crit(ms)",
-        "2-thr wall/crit(ms)",
-        "4-thr wall/crit(ms)",
-        "1/2",
-        "1/4"
-    );
-    for Workload { name, net } in table4_workloads(scale) {
-        // Interleave the samples round-robin across the thread counts so
-        // ambient load drift hits every arm equally.
-        let mut runs: Vec<Vec<AnalysisReport>> = vec![Vec::new(); THREADS.len()];
-        let mut failed = false;
-        'sampling: for _ in 0..SAMPLES {
-            for (ti, &threads) in THREADS.iter().enumerate() {
-                let strategy = FixpointStrategy::Parallel { threads };
-                match analyze(&net, &AnalysisOptions::dense().with_strategy(strategy)) {
-                    Ok(r) => runs[ti].push(r),
-                    Err(e) => {
-                        println!("{name:<12} {strategy} analysis failed: {e}");
-                        failed = true;
-                        break 'sampling;
-                    }
-                }
-            }
-        }
-        if failed {
-            continue;
-        }
-        // Median wall and median critical path per arm (medians taken
-        // independently: each is the robust centre of its own metric).
-        let mut rows: Vec<(AnalysisReport, f64, f64)> = Vec::new();
-        for mut samples in runs {
-            samples.sort_by_key(|a| a.traversal_critical_path);
-            let crit_ms = samples[samples.len() / 2]
-                .traversal_critical_path
-                .as_secs_f64()
-                * 1e3;
-            samples.sort_by_key(|a| a.traversal_time);
-            let wall_ms = samples[samples.len() / 2].traversal_time.as_secs_f64() * 1e3;
-            let representative = samples.swap_remove(samples.len() / 2);
-            rows.push((representative, wall_ms, crit_ms));
-        }
-        for (report, ..) in &rows[1..] {
-            assert_eq!(
-                rows[0].0.num_markings, report.num_markings,
-                "{name}: thread counts disagree on the fixpoint"
-            );
-        }
-        println!(
-            "{:<12} {:>12.3e} | {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} | {:>5.2}x {:>5.2}x",
-            name,
-            rows[0].0.num_markings,
-            rows[0].1,
-            rows[0].2,
-            rows[1].1,
-            rows[1].2,
-            rows[2].1,
-            rows[2].2,
-            rows[0].2 / rows[1].2,
-            rows[0].2 / rows[2].2
-        );
-        for ((report, wall_ms, crit_ms), threads) in rows.iter().zip(THREADS) {
-            let mut record = bdd_record("scaling", &name, "improved-dense", report);
-            if let Value::Object(fields) = &mut record {
-                fields.push(("threads".to_string(), Value::UInt(threads as u64)));
-                fields.push(("median_traversal_ms".to_string(), Value::Float(*wall_ms)));
-                fields.push((
-                    "median_critical_path_ms".to_string(),
-                    Value::Float(*crit_ms),
-                ));
-                fields.push(("samples".to_string(), Value::UInt(SAMPLES as u64)));
-                fields.push(("host_cores".to_string(), Value::UInt(cores as u64)));
-            }
-            records.push(record);
-        }
-    }
-    println!("(all thread counts must match the 1-thread markings exactly)");
 }
 
 /// The symbolic context used by the property runner: the improved dense
@@ -1251,7 +1096,7 @@ fn check(path: &str, strategy: FixpointStrategy, budgets: BudgetFlags, records: 
 
 /// Ablations: Gray vs binary code assignment, basic vs improved scheme,
 /// greedy vs exact covering, and the effect of dynamic reordering.
-fn ablation() {
+fn ablation(strategy: FixpointStrategy) {
     println!("\n== Ablations =======================================================");
     println!(
         "{:<12} {:>22} {:>22} {:>22}",
@@ -1297,7 +1142,7 @@ fn ablation() {
             let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
             let result = ctx.reachable_markings_with(TraversalOptions {
                 sift,
-                ..TraversalOptions::default()
+                ..TraversalOptions::with_strategy(strategy)
             });
             (result.bdd_nodes, result.duration.as_secs_f64())
         };

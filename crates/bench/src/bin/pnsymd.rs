@@ -74,8 +74,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         } else if let Some(v) = flag_value(args, &mut i, "--pool") {
             config.pool_capacity = v.parse().unwrap_or_else(|_| usage());
         } else if let Some(v) = flag_value(args, &mut i, "--strategy") {
-            config.default_strategy =
-                pnsym_core::server::parse_strategy(v).unwrap_or_else(|| usage());
+            config.default_strategy = v.parse().unwrap_or_else(|err| {
+                eprintln!("pnsymd: {err}");
+                usage()
+            });
         } else if let Some(v) = flag_value(args, &mut i, "--snapshot-dir") {
             config.snapshot_dir = Some(v.into());
         } else if let Some(v) = flag_value(args, &mut i, "--checkpoint-every") {

@@ -114,7 +114,7 @@ pub struct AnalysisReport {
     pub bdd_nodes: usize,
     /// Peak live BDD nodes during the traversal.
     pub peak_live_nodes: usize,
-    /// Fixpoint iterations (BFS steps or chaining passes) to convergence.
+    /// Fixpoint iterations (BFS steps or saturation sweeps) to convergence.
     pub iterations: usize,
     /// The traversal strategy used.
     pub strategy: FixpointStrategy,
@@ -124,14 +124,6 @@ pub struct AnalysisReport {
     pub encoding_time: Duration,
     /// Time spent in the symbolic traversal.
     pub traversal_time: Duration,
-    /// The traversal's critical path (see
-    /// [`ReachabilityResult::critical_path`](crate::ReachabilityResult::critical_path)):
-    /// equals [`AnalysisReport::traversal_time`] for sequential strategies;
-    /// for [`FixpointStrategy::Parallel`] it is the owner's serial work
-    /// plus the slowest worker's busy time per pass — the modeled traversal
-    /// wall time with one free core per worker, which thread-scaling
-    /// comparisons should read on oversubscribed hosts.
-    pub traversal_critical_path: Duration,
     /// Total wall-clock time (column `CPU`).
     pub total_time: Duration,
     /// Kernel statistics of the BDD manager at the end of the analysis
@@ -161,9 +153,6 @@ pub enum DegradationStep {
     /// [`FixpointStrategy::Saturation`] (the lowest-peak-pressure
     /// strategy), same budget.
     NodeBudgetRetry,
-    /// A parallel worker died: the traversal was retried once under the
-    /// default sequential strategy on the same (still consistent) manager.
-    SequentialRetry,
 }
 
 impl fmt::Display for AnalysisReport {
@@ -271,35 +260,21 @@ pub fn analyze(net: &PetriNet, options: &AnalysisOptions) -> Result<AnalysisRepo
     }
     let mut result = ctx.reachable_markings_with(options.traversal);
     let mut degraded = None;
-    match result.truncated {
-        Some(TruncationReason::NodeBudget) => {
-            // Degrade once: release the partial result, reclaim and compact
-            // the working set, and retry under the strategy with the lowest
-            // peak node pressure. The same budget applies to the retry; if
-            // the slimmer profile still breaches, the second truncated
-            // result stands.
-            ctx.manager_mut().unprotect(result.reached);
-            ctx.manager_mut().collect_garbage();
-            ctx.manager_mut().sift();
-            let retry = TraversalOptions {
-                strategy: FixpointStrategy::Saturation,
-                ..options.traversal
-            };
-            result = ctx.reachable_markings_with(retry);
-            degraded = Some(DegradationStep::NodeBudgetRetry);
-        }
-        Some(TruncationReason::WorkerLoss) => {
-            // The owner's manager survives a worker loss fully consistent;
-            // retry once without the pool.
-            ctx.manager_mut().unprotect(result.reached);
-            let retry = TraversalOptions {
-                strategy: FixpointStrategy::default(),
-                ..options.traversal
-            };
-            result = ctx.reachable_markings_with(retry);
-            degraded = Some(DegradationStep::SequentialRetry);
-        }
-        _ => {}
+    if result.truncated == Some(TruncationReason::NodeBudget) {
+        // Degrade once: release the partial result, reclaim and compact
+        // the working set, and retry under the strategy with the lowest
+        // peak node pressure. The same budget applies to the retry; if
+        // the slimmer profile still breaches, the second truncated
+        // result stands.
+        ctx.manager_mut().unprotect(result.reached);
+        ctx.manager_mut().collect_garbage();
+        ctx.manager_mut().sift();
+        let retry = TraversalOptions {
+            strategy: FixpointStrategy::Saturation,
+            ..options.traversal
+        };
+        result = ctx.reachable_markings_with(retry);
+        degraded = Some(DegradationStep::NodeBudgetRetry);
     }
     let dead = ctx.deadlocks_in(result.reached);
     let num_deadlocks = ctx.count_markings(dead);
@@ -319,7 +294,6 @@ pub fn analyze(net: &PetriNet, options: &AnalysisOptions) -> Result<AnalysisRepo
         num_deadlocks,
         encoding_time,
         traversal_time: result.duration,
-        traversal_critical_path: result.critical_path,
         total_time: start.elapsed(),
         manager_stats,
         truncated: result.truncated,
@@ -339,7 +313,7 @@ pub struct ZddAnalysisReport {
     pub num_markings: f64,
     /// ZDD node count of the reached family.
     pub zdd_nodes: usize,
-    /// Fixpoint iterations (BFS steps or chaining passes) to convergence.
+    /// Fixpoint iterations (BFS steps or saturation sweeps) to convergence.
     pub iterations: usize,
     /// The traversal strategy used.
     pub strategy: FixpointStrategy,
@@ -350,7 +324,7 @@ pub struct ZddAnalysisReport {
 }
 
 /// Runs the ZDD-based sparse analysis of `net` (Yoneda et al.'s
-/// representation) with the default breadth-first strategy.
+/// representation) with the default strategy (saturation).
 pub fn analyze_zdd(net: &PetriNet) -> ZddAnalysisReport {
     analyze_zdd_with(net, FixpointStrategy::default())
 }
@@ -464,7 +438,8 @@ mod tests {
         // partial result must stay a sound under-approximation.
         let net = philosophers(3);
         let expected = net.explore().unwrap().num_markings() as f64;
-        let mut options = AnalysisOptions::dense();
+        let mut options =
+            AnalysisOptions::dense().with_strategy(FixpointStrategy::Bfs { use_frontier: true });
         options.traversal.node_budget = Some(1);
         let report = analyze(&net, &options).unwrap();
         assert_eq!(report.degraded, Some(DegradationStep::NodeBudgetRetry));
@@ -494,22 +469,6 @@ mod tests {
         let report = analyze(&net, &options).unwrap();
         assert_eq!(report.truncated, Some(TruncationReason::Deadline));
         assert_eq!(report.degraded, None, "deadlines are not retried");
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn a_worker_loss_degrades_to_a_sequential_retry() {
-        let net = philosophers(3);
-        let expected = net.explore().unwrap().num_markings() as f64;
-        let mut options =
-            AnalysisOptions::dense().with_strategy(FixpointStrategy::Parallel { threads: 2 });
-        let mut faults = pnsym_bdd::FaultSchedule::none();
-        faults.worker_panic = Some((0, 0));
-        options.traversal.faults = Some(faults);
-        let report = analyze(&net, &options).unwrap();
-        assert_eq!(report.degraded, Some(DegradationStep::SequentialRetry));
-        assert_eq!(report.truncated, None, "the sequential retry completes");
-        assert_eq!(report.num_markings, expected);
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub struct CheckReport {
     /// What [`CheckReport::trace`] demonstrates; `None` iff `trace` is.
     pub trace_kind: Option<TraceKind>,
     /// Why the underlying reachability fixpoint stopped early
-    /// ([`TraversalOptions::max_iterations`], a budget breach, a worker
-    /// loss), or `None` for a complete fixpoint. A truncated run explores
+    /// ([`TraversalOptions::max_iterations`] or a budget breach), or
+    /// `None` for a complete fixpoint. A truncated run explores
     /// only a subset of the reachable markings, so [`CheckReport::holds`]
     /// and [`CheckReport::sat_markings`] describe that explored prefix,
     /// **not a definitive verdict** over the full state space — callers

@@ -12,12 +12,11 @@
 //! sets coincide into [`ImageCluster`]s so the shared quantification cube
 //! is built (and its variables quantified) once per cluster.
 //!
-//! The plan also carries the *static chaining order*: a transition ordering
+//! The plan also carries the *structural order*: a transition ordering
 //! derived from the net structure (breadth-first distance of each
 //! transition's pre-set from the initially marked places) that approximates
-//! the firing order. The chained fixpoint strategy fires clusters in this
-//! order, folding each partial image into the reached set within a pass —
-//! the technique mature Petri-net model checkers use instead of strict BFS.
+//! the firing order. The saturation strategy fires the clusters of each
+//! level in this order, so a level's inner fixpoint follows the net's flow.
 
 use crate::context::SymbolicContext;
 use pnsym_bdd::{Ref, VarId};
@@ -51,13 +50,13 @@ pub struct ImageCluster {
     /// The member transitions, in ascending transition order.
     pub members: Vec<PlannedTransition>,
     /// Structural rank of the cluster: the minimum breadth-first distance
-    /// of any member's pre-set from the initially marked places. Clusters
-    /// are fired in ascending rank under the chained strategy.
+    /// of any member's pre-set from the initially marked places. Within a
+    /// saturation level, clusters are fired in ascending rank.
     pub rank: usize,
 }
 
 /// The per-context image plan: clusters of precomputed transition
-/// artefacts plus the static chaining order.
+/// artefacts plus the static structural order.
 ///
 /// Built once by [`SymbolicContext::image_plan`]; every [`Ref`] it holds is
 /// protected in the context's manager, so the plan survives garbage
@@ -65,7 +64,7 @@ pub struct ImageCluster {
 #[derive(Debug, Clone)]
 pub struct ImagePlan {
     clusters: Vec<ImageCluster>,
-    /// Cluster indices sorted by structural rank (the chaining order).
+    /// Cluster indices sorted by structural rank.
     structural_order: Vec<usize>,
     /// `location_of[t] = (cluster, member)` for every transition `t`.
     location_of: Vec<(usize, usize)>,
@@ -179,8 +178,8 @@ impl ImagePlan {
         self.clusters.len()
     }
 
-    /// Cluster indices in the static chaining order (ascending structural
-    /// rank; see [`ImageCluster::rank`]).
+    /// Cluster indices in the static structural order (ascending
+    /// structural rank; see [`ImageCluster::rank`]).
     pub fn structural_order(&self) -> &[usize] {
         &self.structural_order
     }

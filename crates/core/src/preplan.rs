@@ -16,9 +16,8 @@
 //! (and walked) once per cluster.
 //!
 //! The plan also carries a *backward* static order: clusters sorted by
-//! **descending** structural rank, so a backward chaining pass pulls
-//! target sets against the net's flow, mirroring how the forward chained
-//! strategy pushes tokens along it.
+//! **descending** structural rank, so a backward step folds the clusters
+//! against the net's flow, mirroring the forward structural order.
 
 use crate::context::SymbolicContext;
 use crate::plan::structural_transition_ranks;
@@ -67,7 +66,7 @@ pub struct PreImageCluster {
 pub struct PreImagePlan {
     clusters: Vec<PreImageCluster>,
     /// Cluster indices sorted by descending structural rank (the backward
-    /// chaining order).
+    /// order).
     backward_order: Vec<usize>,
     /// `location_of[t] = (cluster, member)` for every transition `t`.
     location_of: Vec<(usize, usize)>,

@@ -27,7 +27,7 @@ pub use proto::{
     CheckRequest, ErrorCode, Json, NamedFormula, PoolOutcome, ProtoError, Request, Response,
     Verdict,
 };
-pub use scheduler::{build_context, parse_strategy, NetResolver, Scheduler, ServerConfig};
+pub use scheduler::{build_context, NetResolver, Scheduler, ServerConfig};
 pub use snapshot::{SnapshotRejection, SnapshotStore};
 
 use std::io::{self, BufRead, BufReader, Write};

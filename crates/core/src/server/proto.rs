@@ -463,8 +463,9 @@ pub struct CheckRequest {
     /// the server is built with the `fault-inject` feature, ignored
     /// otherwise.
     pub fault_seed: Option<u64>,
-    /// Traversal strategy override (`bfs`, `chaining`, `saturation`,
-    /// `parallel`); `None` uses the server default.
+    /// Traversal strategy override (`bfs`, `bfs-full` or `saturation`);
+    /// `None` uses the server default. Any other name is a terminal
+    /// `request` error.
     pub strategy: Option<String>,
     /// Whether verdict lines should carry witness traces.
     pub witness: bool,
@@ -773,7 +774,6 @@ fn truncation_to_str(reason: TruncationReason) -> &'static str {
         TruncationReason::NodeBudget => "node-budget",
         TruncationReason::StepBudget => "step-budget",
         TruncationReason::InjectedFault => "injected-fault",
-        TruncationReason::WorkerLoss => "worker-loss",
     }
 }
 
@@ -784,7 +784,6 @@ fn truncation_from_str(s: &str) -> Option<TruncationReason> {
         "node-budget" => TruncationReason::NodeBudget,
         "step-budget" => TruncationReason::StepBudget,
         "injected-fault" => TruncationReason::InjectedFault,
-        "worker-loss" => TruncationReason::WorkerLoss,
         _ => return None,
     })
 }

@@ -23,13 +23,12 @@
 //! caller degrades to a cold rebuild. No input, however corrupt, panics.
 //!
 //! Under the `fault-inject` feature the store can be armed with a
-//! `DiskFaultSchedule` (feature-gated, so no doc link here) that deterministically
-//! injects short writes, failed renames and corrupt-on-read bit flips at
-//! these sites, which is how the disk-fault matrix exercises the
-//! degradation paths.
+//! `DiskFaultSchedule` (defined in this module; feature-gated, so no doc
+//! link here) that deterministically injects short writes, failed renames
+//! and corrupt-on-read bit flips at these sites, which is how the
+//! disk-fault matrix exercises the degradation paths.
 
 use super::pool::WarmContext;
-use super::scheduler::parse_strategy;
 use crate::context::SymbolicContext;
 use crate::traverse::{FixpointStrategy, ReachabilityResult};
 use pnsym_bdd::{snapshot_checksum, Ref, SerializedBdd, SnapshotError};
@@ -37,9 +36,6 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-#[cfg(feature = "fault-inject")]
-use pnsym_bdd::{DiskFaultSchedule, DiskFaultSite};
 
 /// Magic prefix of the store's envelope (distinct from the inner
 /// [`SerializedBdd`] blob's own magic).
@@ -263,6 +259,102 @@ fn import_into(
     Ok(ctx.manager_mut().import_subgraph(bdd))
 }
 
+/// Deterministic *disk* failure points exercised by the `fault-inject`
+/// feature: the store consults a [`DiskFaultSchedule`] at each of these
+/// sites, so torn writes, lost renames and bit-rot on read are all
+/// reproducible in tests. Kept separate from the kernel's `FaultSite`s so
+/// arming a disk schedule never perturbs the seeded kernel-fault mapping
+/// that existing tests pin, and so the kernel knows nothing about disks.
+#[cfg(feature = "fault-inject")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiskFaultSite {
+    /// A snapshot write persists only a prefix of its bytes (a torn write
+    /// that still gets renamed into place — the checksum must catch it).
+    ShortWrite,
+    /// The atomic rename publishing a finished temp file fails; the
+    /// snapshot is lost but nothing torn becomes visible.
+    FailedRename,
+    /// A snapshot read returns bytes with one bit flipped (media rot).
+    CorruptRead,
+}
+
+#[cfg(feature = "fault-inject")]
+impl DiskFaultSite {
+    const COUNT: usize = 3;
+
+    fn index(self) -> usize {
+        match self {
+            DiskFaultSite::ShortWrite => 0,
+            DiskFaultSite::FailedRename => 1,
+            DiskFaultSite::CorruptRead => 2,
+        }
+    }
+
+    fn from_index(i: usize) -> Self {
+        match i {
+            0 => DiskFaultSite::ShortWrite,
+            1 => DiskFaultSite::FailedRename,
+            _ => DiskFaultSite::CorruptRead,
+        }
+    }
+}
+
+/// A seeded, deterministic schedule of injected disk failures, consumed by
+/// the snapshot store. Each armed site fires on its `n`-th observed event
+/// and then disarms, mirroring the kernel `FaultSchedule`'s countdown discipline.
+#[cfg(feature = "fault-inject")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DiskFaultSchedule {
+    countdown: [Option<u32>; DiskFaultSite::COUNT],
+}
+
+#[cfg(feature = "fault-inject")]
+impl DiskFaultSchedule {
+    /// An empty schedule (no faults armed).
+    pub fn none() -> Self {
+        DiskFaultSchedule::default()
+    }
+
+    /// Arms `site` to fail on its `nth` (0-based) observed event.
+    pub fn trip(mut self, site: DiskFaultSite, nth: u32) -> Self {
+        self.countdown[site.index()] = Some(nth);
+        self
+    }
+
+    /// Derives a schedule from a seed: one site armed at a small event
+    /// index via a splitmix64 draw, so a seed sweep covers every site.
+    pub fn from_seed(seed: u64) -> Self {
+        let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^= x >> 31;
+        let site = DiskFaultSite::from_index((x as usize) % DiskFaultSite::COUNT);
+        let nth = ((x >> 8) % 3) as u32;
+        DiskFaultSchedule::default().trip(site, nth)
+    }
+
+    /// Whether any site is armed.
+    pub fn is_armed(&self) -> bool {
+        self.countdown.iter().any(|c| c.is_some())
+    }
+
+    /// Records one event at `site`; returns `true` when the armed
+    /// countdown is consumed and the fault must fire (the site disarms).
+    pub fn observe(&mut self, site: DiskFaultSite) -> bool {
+        match &mut self.countdown[site.index()] {
+            Some(0) => {
+                self.countdown[site.index()] = None;
+                true
+            }
+            Some(left) => {
+                *left -= 1;
+                false
+            }
+            None => false,
+        }
+    }
+}
+
 /// The durable store under a snapshot directory. All methods degrade:
 /// they log nothing themselves and report failures as typed values, so
 /// the single-threaded scheduler decides what is worth a log line.
@@ -415,14 +507,14 @@ impl SnapshotStore {
         let mut restored: Vec<(FixpointStrategy, ReachabilityResult)> =
             Vec::with_capacity(roots.len());
         for (entry, &root) in payload.entries.iter().zip(&roots) {
-            let Some(strategy) = parse_strategy(&entry.strategy) else {
-                for (_, run) in &restored {
-                    ctx.manager_mut().unprotect(run.reached);
+            let strategy = match entry.strategy.parse::<FixpointStrategy>() {
+                Ok(strategy) => strategy,
+                Err(err) => {
+                    for (_, run) in &restored {
+                        ctx.manager_mut().unprotect(run.reached);
+                    }
+                    return Err(SnapshotRejection::Mismatch(err.to_string()));
                 }
-                return Err(SnapshotRejection::Mismatch(format!(
-                    "unknown strategy {:?}",
-                    entry.strategy
-                )));
             };
             ctx.manager_mut().protect(root);
             let num_markings = ctx.count_markings(root);
@@ -445,7 +537,6 @@ impl SnapshotStore {
                     bdd_nodes: ctx.bdd_size(root),
                     peak_live_nodes: ctx.manager().peak_live_nodes(),
                     duration: Duration::ZERO,
-                    critical_path: Duration::ZERO,
                     truncated: None,
                     strategy,
                 },
@@ -548,7 +639,7 @@ impl SnapshotStore {
                 return Some(Err(rejection));
             }
         };
-        if parse_strategy(&entry.strategy) != Some(strategy) {
+        if entry.strategy.parse() != Ok(strategy) {
             return None;
         }
         match import_into(ctx, &bdd) {
@@ -568,5 +659,38 @@ impl SnapshotStore {
     /// completes (the warm snapshot supersedes it).
     pub fn clear_checkpoint(&mut self, key: u64) {
         let _ = fs::remove_file(self.ckpt_path(key));
+    }
+}
+
+#[cfg(all(test, feature = "fault-inject"))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn disk_fault_schedule_counts_events_and_disarms() {
+        let mut s = DiskFaultSchedule::none().trip(DiskFaultSite::ShortWrite, 2);
+        assert!(s.is_armed());
+        // Other sites stay inert.
+        assert!(!s.observe(DiskFaultSite::FailedRename));
+        assert!(!s.observe(DiskFaultSite::ShortWrite));
+        assert!(!s.observe(DiskFaultSite::ShortWrite));
+        assert!(s.observe(DiskFaultSite::ShortWrite), "fires on the third");
+        assert!(!s.observe(DiskFaultSite::ShortWrite), "then disarms");
+        assert!(!s.is_armed());
+    }
+
+    #[test]
+    fn seeded_disk_schedules_are_deterministic_and_cover_sites() {
+        assert_eq!(
+            DiskFaultSchedule::from_seed(3),
+            DiskFaultSchedule::from_seed(3)
+        );
+        let mut sites = std::collections::HashSet::new();
+        for seed in 0..64u64 {
+            let s = DiskFaultSchedule::from_seed(seed);
+            assert!(s.is_armed());
+            sites.insert(s.countdown.iter().position(|c| c.is_some()).unwrap());
+        }
+        assert_eq!(sites.len(), DiskFaultSite::COUNT, "seeds reach every site");
     }
 }

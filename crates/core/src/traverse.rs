@@ -7,23 +7,18 @@
 //! adaptation, peak tracking, iteration accounting and truncation live in
 //! exactly one place.
 //!
-//! Three exploration strategies are provided ([`FixpointStrategy`]):
+//! Two exploration strategies are provided ([`FixpointStrategy`]):
 //!
-//! * **Breadth-first** — the classic loop: one full image of the frontier
-//!   (or of the whole reached set) per iteration.
-//! * **Chaining** — transitions are fired one cluster at a time and each
-//!   partial image is folded into the reached set *within* a pass, so a
-//!   token can travel many steps per pass. With the static structural
-//!   order of the [`ImagePlan`](crate::plan::ImagePlan) this reaches the
-//!   fixpoint in far fewer passes than BFS needs iterations on pipelined
-//!   nets, the behaviour mature Petri-net model checkers exploit.
-//! * **Saturation** — clusters are bucketed by the topmost decision-diagram
-//!   level they write and saturated level by level, bottom-up (deepest
-//!   levels first): each level's clusters are fired to a local fixpoint
-//!   before the next level up fires at all, and firing is *event-local* —
-//!   a productive firing re-dirties exactly the clusters its post-set can
-//!   newly enable, and only dirty clusters ever re-fire, so higher
-//!   clusters re-fire only when something below them actually changed.
+//! * **Breadth-first** — the paper's algorithm: one full image of the
+//!   frontier (or of the whole reached set) per iteration.
+//! * **Saturation** (the default) — clusters are bucketed by the topmost
+//!   decision-diagram level they write and saturated level by level,
+//!   bottom-up (deepest levels first): each level's clusters are fired to
+//!   a local fixpoint before the next level up fires at all, and firing is
+//!   *event-local* — a productive firing re-dirties exactly the clusters
+//!   its post-set can newly enable, and only dirty clusters ever re-fire,
+//!   so higher clusters re-fire only when something below them actually
+//!   changed.
 //!   Firing a cluster whose written variables sit deep in the order only
 //!   ever rewrites the bottom of the reached-set diagram, so the
 //!   intermediate results stay small and heavily cached — the
@@ -51,7 +46,6 @@ macro_rules! governed {
         }
     };
 }
-pub(crate) use governed;
 
 /// When to run dynamic variable reordering during traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,84 +83,14 @@ impl SiftPolicy {
 /// possible order saves.
 pub const ADAPTIVE_SIFT_FLOOR: usize = 2048;
 
-/// Between-pass maintenance shared by the sequential kernel and the
-/// parallel owner: adaptive garbage collection (with the doubling
-/// threshold) followed by the sifting policy. `baseline` is the adaptive
-/// trigger's state — the live node count when the order was last tuned
-/// (`0` = not yet observed). Returns whether the variable order changed,
-/// so the parallel owner knows to resync its worker replicas.
-pub(crate) fn maintain_between_passes(
-    ctx: &mut SymbolicContext,
-    sift: SiftPolicy,
-    iteration: usize,
-    baseline: &mut usize,
-) -> bool {
-    if ctx.manager().should_collect() {
-        ctx.manager_mut().collect_garbage();
-        // Collections rebuild the tables in place, so running one is
-        // cheap — but a collection that reclaims almost nothing means
-        // the working set has outgrown the threshold; double it.
-        let threshold = ctx.manager().gc_threshold();
-        if ctx.manager().live_node_count() * 2 > threshold {
-            ctx.manager_mut().set_gc_threshold(threshold * 2);
-        }
-    }
-    let before = ctx.manager().order_generation();
-    match sift {
-        SiftPolicy::Never => {}
-        SiftPolicy::EveryIterations(n) => {
-            if n > 0 && iteration.is_multiple_of(n) {
-                ctx.manager_mut().sift_with(SiftConfig::default());
-            }
-        }
-        SiftPolicy::AdaptiveGrowth { percent } => {
-            let live = ctx.manager().live_node_count();
-            if *baseline == 0 {
-                *baseline = live.max(1);
-            }
-            if live > ADAPTIVE_SIFT_FLOOR && live * 100 > *baseline * percent.max(100) as usize {
-                ctx.manager_mut().sift_with(SiftConfig::default());
-                // The post-sift size is the new baseline: the next trigger
-                // fires only once the working set outgrows the tuned order
-                // by the same ratio again.
-                *baseline = ctx.manager().live_node_count().max(1);
-            }
-        }
-    }
-    ctx.manager().order_generation() != before
-}
-
-/// The static transition order used by the chained strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChainingOrder {
-    /// Clusters sorted by structural rank: breadth-first distance of each
-    /// transition's pre-set from the initially marked places (see
-    /// [`structural_transition_ranks`](crate::plan::structural_transition_ranks)).
-    /// Approximates the firing order, so a pass propagates tokens along the
-    /// net's flow.
-    #[default]
-    Structural,
-    /// Clusters in ascending first-member transition index order.
-    Index,
-}
-
 /// How the fixpoint driver explores the state space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FixpointStrategy {
-    /// Breadth-first: one full image per iteration.
+    /// Breadth-first, the paper's algorithm: one full image per iteration.
     Bfs {
         /// Compute images from the newly discovered frontier only (true)
         /// or from the whole reached set (false).
         use_frontier: bool,
-    },
-    /// Chained firing: clusters are fired in a static order and each
-    /// partial image is folded into the reached set within the pass.
-    /// Reaches the same fixpoint as BFS (images of reachable markings are
-    /// reachable, and every enabled firing is eventually applied), usually
-    /// in far fewer passes.
-    Chaining {
-        /// The static cluster order of a pass.
-        order: ChainingOrder,
     },
     /// Level saturation: clusters are bucketed by the topmost diagram
     /// level they write (`FixpointKernel::cluster_top_level`) and
@@ -174,31 +98,12 @@ pub enum FixpointStrategy {
     /// before anything above it fires, and a cluster re-fires only when a
     /// productive firing structurally feeds it
     /// (`FixpointKernel::cluster_feeds`), so stable regions of the net
-    /// are never re-imaged. Computes the same fixpoint as BFS and
-    /// chaining. `iterations` counts productive saturation sweeps.
+    /// are never re-imaged. Computes the same fixpoint as BFS.
+    /// `iterations` counts productive saturation sweeps. The default: it
+    /// beats BFS in traversal time and peak nodes on all 15 nets of
+    /// `experiments strategies`.
+    #[default]
     Saturation,
-    /// Parallel cluster-image traversal over a pool of sharded BDD worker
-    /// threads (see the `parallel` module): each worker owns a replica
-    /// manager with the plan's image artefacts mirrored in; per pass the
-    /// owner deals the clusters onto the workers — rebalanced by each
-    /// cluster's latest cost, measured as a deterministic computed-cache
-    /// lookup count — every worker fires its share locally on a serialized
-    /// copy of the source set, and the partial images are merge-unioned
-    /// back in the owning manager in worker-id order. Nets whose clusters
-    /// split into disjoint-support components instead saturate the
-    /// independent subspaces concurrently. Computes the same fixpoint as
-    /// the sequential strategies, and the result is bit-identical for
-    /// every thread count.
-    Parallel {
-        /// Number of worker threads (values below 1 are clamped to 1).
-        threads: usize,
-    },
-}
-
-impl Default for FixpointStrategy {
-    fn default() -> Self {
-        FixpointStrategy::Bfs { use_frontier: true }
-    }
 }
 
 impl std::fmt::Display for FixpointStrategy {
@@ -208,14 +113,58 @@ impl std::fmt::Display for FixpointStrategy {
             FixpointStrategy::Bfs {
                 use_frontier: false,
             } => write!(f, "bfs-full"),
-            FixpointStrategy::Chaining {
-                order: ChainingOrder::Structural,
-            } => write!(f, "chaining"),
-            FixpointStrategy::Chaining {
-                order: ChainingOrder::Index,
-            } => write!(f, "chaining-index"),
             FixpointStrategy::Saturation => write!(f, "saturation"),
-            FixpointStrategy::Parallel { threads } => write!(f, "parallel-{threads}"),
+        }
+    }
+}
+
+/// Why a strategy name did not parse: the name is unknown, or it names a
+/// strategy that was removed after losing its head-to-head measurement
+/// against saturation (`chaining`, `chaining-index`, `parallel`,
+/// `parallel-N`). The message lists the names that do parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseStrategyError {
+    /// The name as given.
+    pub name: String,
+    /// Whether `name` is one of the retired spellings.
+    pub retired: bool,
+}
+
+impl std::fmt::Display for ParseStrategyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let what = if self.retired { "retired" } else { "unknown" };
+        write!(
+            f,
+            "{what} strategy `{}` (expected bfs, bfs-full or saturation)",
+            self.name
+        )
+    }
+}
+
+impl std::error::Error for ParseStrategyError {}
+
+impl std::str::FromStr for FixpointStrategy {
+    type Err = ParseStrategyError;
+
+    /// Parses the [`Display`](std::fmt::Display) names: `bfs`, `bfs-full`
+    /// and `saturation`.
+    fn from_str(name: &str) -> Result<Self, ParseStrategyError> {
+        match name {
+            "bfs" => Ok(FixpointStrategy::Bfs { use_frontier: true }),
+            "bfs-full" => Ok(FixpointStrategy::Bfs {
+                use_frontier: false,
+            }),
+            "saturation" => Ok(FixpointStrategy::Saturation),
+            _ => {
+                let retired = matches!(name, "chaining" | "chaining-index" | "parallel")
+                    || name
+                        .strip_prefix("parallel-")
+                        .is_some_and(|n| n.parse::<usize>().is_ok());
+                Err(ParseStrategyError {
+                    name: name.to_string(),
+                    retired,
+                })
+            }
         }
     }
 }
@@ -311,8 +260,7 @@ pub struct ReachabilityResult {
     /// Number of reachable markings (exact below 2^53).
     pub num_markings: f64,
     /// Number of fixpoint iterations: breadth-first steps under
-    /// [`FixpointStrategy::Bfs`], productive passes under
-    /// [`FixpointStrategy::Chaining`], productive level sweeps under
+    /// [`FixpointStrategy::Bfs`], productive level sweeps under
     /// [`FixpointStrategy::Saturation`].
     pub iterations: usize,
     /// BDD node count of the final reached set.
@@ -323,15 +271,6 @@ pub struct ReachabilityResult {
     pub peak_live_nodes: usize,
     /// Wall-clock time of the traversal.
     pub duration: Duration,
-    /// The traversal's *critical path*: for
-    /// [`FixpointStrategy::Parallel`] the owner's serial work plus the
-    /// slowest worker's busy time of every pass — the modeled wall time on
-    /// a host with one free core per worker. Wall clocks on an
-    /// oversubscribed host (fewer free cores than workers) measure
-    /// time-slicing, not the algorithm, so thread-scaling comparisons
-    /// should read this field; for sequential strategies it equals
-    /// [`ReachabilityResult::duration`].
-    pub critical_path: Duration,
     /// Why the traversal stopped early, if it did:
     /// [`TruncationReason::Iterations`] for the
     /// [`TraversalOptions::max_iterations`] safety valve, the budget
@@ -349,16 +288,11 @@ pub(crate) struct FixpointRun<S> {
     /// The reached set (protected in the backend's manager where
     /// applicable).
     pub reached: S,
-    /// Iterations (BFS steps or productive chaining passes).
+    /// Iterations (BFS steps or productive saturation sweeps).
     pub iterations: usize,
     /// Why the run stopped early (iteration limit or budget breach), or
     /// `None` for a completed fixpoint.
     pub truncated: Option<TruncationReason>,
-    /// Modeled wall time on a host with one free core per worker: the
-    /// owner's serial work plus the slowest worker's busy time of every
-    /// pass. `None` for sequential runs, where it coincides with the
-    /// measured duration.
-    pub critical_path: Option<Duration>,
 }
 
 /// The minimal backend surface the generic fixpoint driver needs: set
@@ -383,8 +317,11 @@ pub(crate) trait FixpointKernel {
     fn observe_pass(&mut self, _reached: Self::Set, _iteration: usize) {}
     /// Number of transition clusters.
     fn num_clusters(&self) -> usize;
-    /// The cluster visit sequence of one chaining pass.
-    fn cluster_sequence(&self, order: ChainingOrder) -> Vec<usize>;
+    /// The clusters in structural order (see
+    /// [`structural_transition_ranks`](crate::plan::structural_transition_ranks)):
+    /// the firing order within a saturation level, so a level's inner
+    /// fixpoint fires along the net's flow.
+    fn cluster_sequence(&self) -> Vec<usize>;
     /// The topmost (smallest) decision-diagram level among the variables
     /// the cluster writes; clusters touching nothing report `u32::MAX`.
     /// Drives the level bucketing of [`FixpointStrategy::Saturation`].
@@ -433,21 +370,6 @@ pub(crate) trait FixpointKernel {
     fn order_generation(&self) -> u64 {
         0
     }
-    /// Runs [`FixpointStrategy::Parallel`]. The default falls back to the
-    /// sequential frontier-BFS fixpoint, so backends without a threaded
-    /// kernel (the ZDD engine) stay correct — and trivially deterministic —
-    /// under the parallel strategy; the BDD kernel overrides this with the
-    /// sharded worker pool of the `parallel` module.
-    fn run_parallel(
-        &mut self,
-        _threads: usize,
-        max_iterations: Option<usize>,
-    ) -> FixpointRun<Self::Set>
-    where
-        Self: Sized,
-    {
-        bfs(self, true, max_iterations)
-    }
 }
 
 /// Runs the fixpoint under the given strategy. On return — *including* a
@@ -461,9 +383,7 @@ pub(crate) fn run_fixpoint<K: FixpointKernel>(
 ) -> FixpointRun<K::Set> {
     match strategy {
         FixpointStrategy::Bfs { use_frontier } => bfs(kernel, use_frontier, max_iterations),
-        FixpointStrategy::Chaining { order } => chaining(kernel, order, max_iterations),
         FixpointStrategy::Saturation => saturation(kernel, max_iterations),
-        FixpointStrategy::Parallel { threads } => kernel.run_parallel(threads, max_iterations),
     }
 }
 
@@ -517,61 +437,11 @@ fn bfs<K: FixpointKernel>(
         reached,
         iterations,
         truncated,
-        critical_path: None,
-    }
-}
-
-fn chaining<K: FixpointKernel>(
-    kernel: &mut K,
-    order: ChainingOrder,
-    max_iterations: Option<usize>,
-) -> FixpointRun<K::Set> {
-    let sequence = kernel.cluster_sequence(order);
-    let mut reached = kernel.initial();
-    kernel.protect(reached);
-
-    let mut iterations = 0usize;
-    let mut truncated = None;
-    'run: loop {
-        if let Some(limit) = max_iterations {
-            if iterations >= limit {
-                truncated = Some(TruncationReason::Iterations);
-                break;
-            }
-        }
-        governed!(truncated, 'run, kernel.checkpoint());
-        let mut changed = false;
-        for &cluster in &sequence {
-            let img = governed!(truncated, 'run, kernel.cluster_image(cluster, reached));
-            // `union != reached` detects productivity directly; computing
-            // the difference first would walk the same diagrams twice.
-            let next_reached = governed!(truncated, 'run, kernel.union(reached, img));
-            if next_reached == reached {
-                continue;
-            }
-            kernel.protect(next_reached);
-            kernel.unprotect(reached);
-            reached = next_reached;
-            changed = true;
-        }
-        if !changed {
-            break;
-        }
-        iterations += 1;
-        kernel.observe_pass(reached, iterations);
-        kernel.maintain(iterations);
-    }
-
-    FixpointRun {
-        reached,
-        iterations,
-        truncated,
-        critical_path: None,
     }
 }
 
 /// Buckets the clusters by their topmost written level, deepest level
-/// first, keeping the structural chaining order within each bucket so a
+/// first, keeping the structural order within each bucket so a
 /// level's inner fixpoint still fires along the net's flow. Returns the
 /// buckets and the inverse map `level_of[cluster] = bucket index`.
 ///
@@ -581,7 +451,7 @@ fn chaining<K: FixpointKernel>(
 fn saturation_buckets<K: FixpointKernel>(kernel: &K) -> (Vec<Vec<usize>>, Vec<usize>) {
     let mut buckets: std::collections::BTreeMap<std::cmp::Reverse<u32>, Vec<usize>> =
         std::collections::BTreeMap::new();
-    for cluster in kernel.cluster_sequence(ChainingOrder::Structural) {
+    for cluster in kernel.cluster_sequence() {
         buckets
             .entry(std::cmp::Reverse(kernel.cluster_top_level(cluster)))
             .or_default()
@@ -707,7 +577,6 @@ fn saturation<K: FixpointKernel>(
         reached,
         iterations,
         truncated,
-        critical_path: None,
     }
 }
 
@@ -755,11 +624,8 @@ impl FixpointKernel for BddFixpointKernel<'_, '_> {
         self.plan.num_clusters()
     }
 
-    fn cluster_sequence(&self, order: ChainingOrder) -> Vec<usize> {
-        match order {
-            ChainingOrder::Structural => self.plan.structural_order().to_vec(),
-            ChainingOrder::Index => (0..self.plan.num_clusters()).collect(),
-        }
+    fn cluster_sequence(&self) -> Vec<usize> {
+        self.plan.structural_order().to_vec()
     }
 
     fn cluster_top_level(&self, cluster: usize) -> u32 {
@@ -803,28 +669,53 @@ impl FixpointKernel for BddFixpointKernel<'_, '_> {
         self.ctx.manager_mut().unprotect(s);
     }
 
+    /// Adaptive garbage collection (with the doubling threshold) followed
+    /// by the sifting policy.
     fn maintain(&mut self, iteration: usize) {
-        maintain_between_passes(self.ctx, self.sift, iteration, &mut self.sift_baseline);
+        let manager = self.ctx.manager_mut();
+        if manager.should_collect() {
+            manager.collect_garbage();
+            // Collections rebuild the tables in place, so running one is
+            // cheap — but a collection that reclaims almost nothing means
+            // the working set has outgrown the threshold; double it.
+            let threshold = manager.gc_threshold();
+            if manager.live_node_count() * 2 > threshold {
+                manager.set_gc_threshold(threshold * 2);
+            }
+        }
+        match self.sift {
+            SiftPolicy::Never => {}
+            SiftPolicy::EveryIterations(n) => {
+                if n > 0 && iteration.is_multiple_of(n) {
+                    manager.sift_with(SiftConfig::default());
+                }
+            }
+            SiftPolicy::AdaptiveGrowth { percent } => {
+                let live = manager.live_node_count();
+                if self.sift_baseline == 0 {
+                    self.sift_baseline = live.max(1);
+                }
+                if live > ADAPTIVE_SIFT_FLOOR
+                    && live * 100 > self.sift_baseline * percent.max(100) as usize
+                {
+                    manager.sift_with(SiftConfig::default());
+                    // The post-sift size is the new baseline: the next
+                    // trigger fires only once the working set outgrows the
+                    // tuned order by the same ratio again.
+                    self.sift_baseline = manager.live_node_count().max(1);
+                }
+            }
+        }
     }
 
     fn order_generation(&self) -> u64 {
         self.ctx.manager().order_generation()
     }
-
-    fn run_parallel(&mut self, threads: usize, max_iterations: Option<usize>) -> FixpointRun<Ref> {
-        crate::parallel::parallel_fixpoint(
-            self.ctx,
-            Rc::clone(&self.plan),
-            threads,
-            max_iterations,
-            self.sift,
-        )
-    }
 }
 
 impl SymbolicContext {
     /// Computes the set of reachable markings with default
-    /// [`TraversalOptions`] (breadth-first from the frontier).
+    /// [`TraversalOptions`] (saturation).
     pub fn reachable_markings(&mut self) -> ReachabilityResult {
         self.reachable_markings_with(TraversalOptions::default())
     }
@@ -847,9 +738,7 @@ impl SymbolicContext {
     ///
     /// Resuming is always sound: the seed is a subset of the fixpoint, so
     /// the reached set converges to the same BDD as a cold run (only the
-    /// pass count differs). Under [`FixpointStrategy::Parallel`] the seed
-    /// and observer are ignored — the sharded driver restarts from the
-    /// initial marking, which yields the same fixpoint.
+    /// pass count differs).
     pub fn reachable_markings_observed(
         &mut self,
         options: TraversalOptions,
@@ -894,15 +783,13 @@ impl SymbolicContext {
 
         let num_markings = self.count_markings(run.reached);
         let bdd_nodes = self.bdd_size(run.reached);
-        let duration = start.elapsed();
         ReachabilityResult {
             reached: run.reached,
             num_markings,
             iterations: run.iterations,
             bdd_nodes,
             peak_live_nodes: self.manager().peak_live_nodes(),
-            duration,
-            critical_path: run.critical_path.unwrap_or(duration),
+            duration: start.elapsed(),
             truncated: run.truncated,
             strategy: options.strategy,
         }
@@ -936,21 +823,26 @@ mod tests {
         ]
     }
 
-    fn all_strategies() -> [FixpointStrategy; 6] {
+    fn all_strategies() -> [FixpointStrategy; 3] {
         [
             FixpointStrategy::Bfs { use_frontier: true },
             FixpointStrategy::Bfs {
                 use_frontier: false,
             },
-            FixpointStrategy::Chaining {
-                order: ChainingOrder::Structural,
-            },
-            FixpointStrategy::Chaining {
-                order: ChainingOrder::Index,
-            },
             FixpointStrategy::Saturation,
-            FixpointStrategy::Parallel { threads: 2 },
         ]
+    }
+
+    #[test]
+    fn retired_strategy_names_are_typed_errors() {
+        assert_eq!(FixpointStrategy::default(), FixpointStrategy::Saturation);
+        for name in ["chaining", "chaining-index", "parallel", "parallel-2"] {
+            let err = name.parse::<FixpointStrategy>().unwrap_err();
+            assert!(err.retired, "{name}");
+            assert!(err.to_string().contains("bfs, bfs-full or saturation"));
+        }
+        let err = "dfs".parse::<FixpointStrategy>().unwrap_err();
+        assert!(!err.retired);
     }
 
     #[test]
@@ -1007,36 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn chaining_needs_fewer_passes_than_bfs_iterations() {
-        // The acceptance pin of the chained strategy: on pipelined nets one
-        // structural pass propagates a token many steps, so the pass count
-        // drops strictly below the BFS iteration count.
-        for net in [slotted_ring(3), dme(3, DmeStyle::Spec), muller(8)] {
-            let smcs = find_smcs(&net).unwrap();
-            let enc = Encoding::improved(&net, &smcs, AssignmentStrategy::Gray);
-            let mut a = SymbolicContext::new(&net, enc.clone());
-            let mut b = SymbolicContext::new(&net, enc);
-            let bfs =
-                a.reachable_markings_with(TraversalOptions::with_strategy(FixpointStrategy::Bfs {
-                    use_frontier: true,
-                }));
-            let chained = b.reachable_markings_with(TraversalOptions::with_strategy(
-                FixpointStrategy::Chaining {
-                    order: ChainingOrder::Structural,
-                },
-            ));
-            assert_eq!(bfs.num_markings, chained.num_markings, "{}", net.name());
-            assert!(
-                chained.iterations < bfs.iterations,
-                "{}: chaining took {} passes vs {} BFS iterations",
-                net.name(),
-                chained.iterations,
-                bfs.iterations
-            );
-        }
-    }
-
-    #[test]
     fn every_explicit_marking_is_in_the_symbolic_set() {
         let net = philosophers(2);
         let rg = net.explore().unwrap();
@@ -1086,7 +948,7 @@ mod tests {
         let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
         let result = ctx.reachable_markings_with(TraversalOptions {
             max_iterations: Some(1),
-            ..TraversalOptions::default()
+            ..TraversalOptions::with_strategy(FixpointStrategy::Bfs { use_frontier: true })
         });
         assert_eq!(result.truncated, Some(TruncationReason::Iterations));
         let full = SymbolicContext::new(&net, Encoding::sparse(&net))
@@ -1153,21 +1015,6 @@ mod tests {
         assert!(result.num_markings < full);
     }
 
-    #[test]
-    fn max_iterations_truncates_chaining_passes() {
-        let net = muller(6);
-        let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
-        let result = ctx.reachable_markings_with(TraversalOptions {
-            max_iterations: Some(1),
-            strategy: FixpointStrategy::Chaining {
-                order: ChainingOrder::Structural,
-            },
-            ..TraversalOptions::default()
-        });
-        assert_eq!(result.truncated, Some(TruncationReason::Iterations));
-        assert_eq!(result.iterations, 1);
-    }
-
     /// A three-cluster chain (`c0 → c1 → c2`) over bitmask sets whose
     /// `maintain` reorders the backend mid-run: the level assignment of the
     /// clusters inverts and `order_generation` bumps, exactly what a sift
@@ -1191,7 +1038,7 @@ mod tests {
         fn num_clusters(&self) -> usize {
             3
         }
-        fn cluster_sequence(&self, _order: ChainingOrder) -> Vec<usize> {
+        fn cluster_sequence(&self) -> Vec<usize> {
             vec![0, 1, 2]
         }
         fn cluster_top_level(&self, cluster: usize) -> u32 {
@@ -1312,29 +1159,31 @@ mod tests {
         assert!(ctx.manager().live_node_count() > ADAPTIVE_SIFT_FLOOR);
         // A baseline of 1 says the order was last tuned when the diagram
         // was tiny: the working set has grown far beyond 200% of it.
-        let mut baseline = 1usize;
-        maintain_between_passes(
-            &mut ctx,
-            SiftPolicy::AdaptiveGrowth { percent: 200 },
-            1,
-            &mut baseline,
+        let plan = ctx.image_plan();
+        let start = ctx.initial_set();
+        let mut kernel = BddFixpointKernel {
+            ctx: &mut ctx,
+            plan,
+            sift: SiftPolicy::AdaptiveGrowth { percent: 200 },
+            sift_baseline: 1,
+            start,
+            observer: None,
+        };
+        kernel.maintain(1);
+        assert!(
+            kernel.sift_baseline > 1,
+            "the adaptive trigger must have sifted"
         );
-        assert!(baseline > 1, "the adaptive trigger must have sifted");
         assert_eq!(
-            baseline,
-            ctx.manager().live_node_count().max(1),
+            kernel.sift_baseline,
+            kernel.ctx.manager().live_node_count().max(1),
             "a fired trigger records the post-sift size as the new baseline"
         );
         // Without further growth the next pass must not sift again.
-        let tuned = baseline;
-        maintain_between_passes(
-            &mut ctx,
-            SiftPolicy::AdaptiveGrowth { percent: 200 },
-            2,
-            &mut baseline,
-        );
-        assert_eq!(baseline, tuned, "no re-sift without growth");
-        assert!(ctx.manager().check_invariants().is_ok());
+        let tuned = kernel.sift_baseline;
+        kernel.maintain(2);
+        assert_eq!(kernel.sift_baseline, tuned, "no re-sift without growth");
+        assert!(kernel.ctx.manager().check_invariants().is_ok());
     }
 
     #[test]

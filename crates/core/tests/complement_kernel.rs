@@ -6,12 +6,11 @@
 //! compared while the BDD run is stressed with tiny GC thresholds,
 //! mid-fixpoint sifting (periodic and adaptive) and typed budget
 //! interrupts. A CTL workload additionally pins the headline property of
-//! the representation: negation is a bit flip, so the `not` operation
-//! generates no computed-cache traffic at all.
+//! the representation: negation is a bit flip and disjunction goes through
+//! the `and` cache, so neither generates computed-cache traffic of its own.
 
 use pnsym_core::{
-    ChainingOrder, Encoding, FixpointStrategy, Property, SiftPolicy, SymbolicContext,
-    TraversalOptions, ZddContext,
+    Encoding, FixpointStrategy, Property, SiftPolicy, SymbolicContext, TraversalOptions, ZddContext,
 };
 use pnsym_net::nets::{philosophers, property_suite, random_composed, RandomNetConfig};
 use pnsym_net::PetriNet;
@@ -74,9 +73,8 @@ proptest! {
 
         for strategy in [
             FixpointStrategy::Bfs { use_frontier: true },
-            FixpointStrategy::Chaining { order: ChainingOrder::Structural },
+            FixpointStrategy::Bfs { use_frontier: false },
             FixpointStrategy::Saturation,
-            FixpointStrategy::Parallel { threads: 2 },
         ] {
             let mut ctx = context(&net);
             let run = ctx.reachable_markings_with(stress_options(stress, strategy));
@@ -94,9 +92,9 @@ proptest! {
             prop_assert_eq!(zrun.num_markings, expected_markings, "{} zdd markings", strategy);
             if matches!(strategy, FixpointStrategy::Bfs { .. }) {
                 // Breadth-first steps count the state-space depth, which
-                // no representation choice may change. (Chaining and
-                // saturation pass counts depend on the cluster granularity,
-                // which legitimately differs between the two backends.)
+                // no representation choice may change. (Saturation sweep
+                // counts depend on the cluster granularity, which
+                // legitimately differs between the two backends.)
                 prop_assert_eq!(zrun.iterations, run.iterations, "{} iterations", strategy);
             }
         }
@@ -145,10 +143,10 @@ proptest! {
     }
 }
 
-/// Negation is a complement-bit flip: an entire CTL suite — EF/AF/AG/EG
-/// nesting, fixpoints, witness extraction — must finish with zero lookups
-/// in the `not` slot of the computed cache, and the `or` slot reports the
-/// operation as derived (De Morgan through the `and` cache) the same way.
+/// Negation is a complement-bit flip and disjunction is derived (De Morgan
+/// through the `and` cache): an entire CTL suite — EF/AF/AG/EG nesting,
+/// fixpoints, witness extraction — must account every computed-cache
+/// lookup to `and`, `exists` or `and_exists`.
 #[test]
 fn ctl_workload_generates_no_not_cache_traffic() {
     let net = philosophers(3);
@@ -168,13 +166,10 @@ fn ctl_workload_generates_no_not_cache_traffic() {
         stats.cache_hits + stats.cache_misses > 0,
         "the workload ran"
     );
-    for (name, op) in stats.per_op() {
-        if name == "not" || name == "or" {
-            assert_eq!(
-                op.lookups(),
-                0,
-                "`{name}` must be free under complement edges"
-            );
-        }
-    }
+    let listed: u64 = stats.per_op().iter().map(|(_, op)| op.lookups()).sum();
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        listed,
+        "`not` and `or` must be free under complement edges"
+    );
 }

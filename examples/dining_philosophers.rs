@@ -8,8 +8,8 @@
 use pnsym::net::nets::philosophers;
 use pnsym::structural::find_smcs;
 use pnsym::{
-    analyze, AnalysisError, AnalysisOptions, AssignmentStrategy, Block, Encoding, SymbolicContext,
-    TraversalOptions,
+    analyze, AnalysisError, AnalysisOptions, AssignmentStrategy, Block, Encoding, FixpointStrategy,
+    SymbolicContext, TraversalOptions,
 };
 
 fn main() -> Result<(), AnalysisError> {
@@ -62,7 +62,9 @@ fn main() -> Result<(), AnalysisError> {
 
     // Symbolic reachability + deadlock detection.
     let mut ctx = SymbolicContext::new(&net, encoding);
-    let result = ctx.reachable_markings_with(TraversalOptions::default());
+    // Breadth-first, so the iteration count is the state-space depth.
+    let bfs = FixpointStrategy::Bfs { use_frontier: true };
+    let result = ctx.reachable_markings_with(TraversalOptions::with_strategy(bfs));
     let deadlocks = ctx.deadlocks_in(result.reached);
     let num_deadlocks = ctx.count_markings(deadlocks);
     println!(

@@ -6,7 +6,10 @@
 
 use pnsym::net::nets::slotted_ring;
 use pnsym::structural::find_smcs;
-use pnsym::{AnalysisError, AssignmentStrategy, Encoding, SymbolicContext, TraversalOptions};
+use pnsym::{
+    AnalysisError, AssignmentStrategy, Encoding, FixpointStrategy, SymbolicContext,
+    TraversalOptions,
+};
 
 fn main() -> Result<(), AnalysisError> {
     let nodes: usize = std::env::args()
@@ -25,7 +28,9 @@ fn main() -> Result<(), AnalysisError> {
     );
 
     let mut ctx = SymbolicContext::new(&net, encoding);
-    let result = ctx.reachable_markings_with(TraversalOptions::default());
+    // Breadth-first, so the iteration count is the state-space depth.
+    let bfs = FixpointStrategy::Bfs { use_frontier: true };
+    let result = ctx.reachable_markings_with(TraversalOptions::with_strategy(bfs));
     println!(
         "reachable markings: {} ({} BDD nodes, {} iterations, {:.1} ms)",
         result.num_markings,

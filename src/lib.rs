@@ -52,8 +52,8 @@ pub use pnsym_core::server;
 pub use pnsym_core::{
     analyze, analyze_zdd, analyze_zdd_governed, analyze_zdd_with, build_encoding,
     toggling_activity, toggling_of_state_codes, AnalysisError, AnalysisOptions, AnalysisReport,
-    AssignmentStrategy, Block, Budget, ChainingOrder, CheckReport, DegradationStep, Encoding,
-    ExplicitChecker, FixpointStrategy, ImageCluster, ImagePlan, Interrupt, PassObserver,
+    AssignmentStrategy, Block, Budget, CheckReport, DegradationStep, Encoding, ExplicitChecker,
+    FixpointStrategy, ImageCluster, ImagePlan, Interrupt, ParseStrategyError, PassObserver,
     PortfolioReport, PreImageCluster, PreImagePlan, Property, PropertyParseError,
     ReachabilityResult, SchemeKind, SiftPolicy, SymbolicContext, TogglingReport, TraceKind,
     TransitionEffect, TraversalOptions, TruncationReason, WitnessTrace, ZddAnalysisReport,
@@ -71,7 +71,7 @@ pub mod prelude {
         find_smcs, minimal_invariants, select_smc_cover, CoverStrategy, Smc,
     };
     pub use crate::{
-        analyze, analyze_zdd, AnalysisOptions, AssignmentStrategy, ChainingOrder, Encoding,
-        FixpointStrategy, Property, SchemeKind, SymbolicContext, TraversalOptions, WitnessTrace,
+        analyze, analyze_zdd, AnalysisOptions, AssignmentStrategy, Encoding, FixpointStrategy,
+        Property, SchemeKind, SymbolicContext, TraversalOptions, WitnessTrace,
     };
 }

@@ -18,22 +18,16 @@ use pnsym::net::nets::{
 use pnsym::net::{PetriNet, ReachabilityGraph};
 use pnsym::structural::{find_smcs, CoverStrategy};
 use pnsym::{
-    AssignmentStrategy, ChainingOrder, Encoding, ExplicitChecker, FixpointStrategy, Property,
-    SymbolicContext, TraceKind, TraversalOptions,
+    AssignmentStrategy, Encoding, ExplicitChecker, FixpointStrategy, Property, SymbolicContext,
+    TraceKind, TraversalOptions,
 };
 use proptest::prelude::*;
 
-fn all_strategies() -> [FixpointStrategy; 5] {
+fn all_strategies() -> [FixpointStrategy; 3] {
     [
         FixpointStrategy::Bfs { use_frontier: true },
         FixpointStrategy::Bfs {
             use_frontier: false,
-        },
-        FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        },
-        FixpointStrategy::Chaining {
-            order: ChainingOrder::Index,
         },
         FixpointStrategy::Saturation,
     ]

@@ -8,14 +8,11 @@
 use pnsym::net::nets::{dme, figure1, slotted_ring, DmeStyle};
 use pnsym::net::PetriNet;
 use pnsym::structural::{find_smcs, CoverStrategy};
-use pnsym::{
-    AssignmentStrategy, ChainingOrder, Encoding, FixpointStrategy, SymbolicContext,
-    TraversalOptions,
-};
+use pnsym::{AssignmentStrategy, Encoding, FixpointStrategy, SymbolicContext, TraversalOptions};
 
 /// Asserts explicit and symbolic deadlock counts equal `expected_deadlocks`
-/// under the sparse, dense and improved encodings, for the breadth-first,
-/// chained and saturation fixpoint strategies.
+/// under the sparse, dense and improved encodings, for the breadth-first
+/// (frontier and full) and saturation fixpoint strategies.
 fn check_deadlocks(net: &PetriNet, expected_markings: usize, expected_deadlocks: usize) {
     let rg = net.explore().expect("benchmark nets fit in memory");
     assert_eq!(
@@ -50,8 +47,8 @@ fn check_deadlocks(net: &PetriNet, expected_markings: usize, expected_deadlocks:
         let scheme = encoding.scheme();
         for strategy in [
             FixpointStrategy::Bfs { use_frontier: true },
-            FixpointStrategy::Chaining {
-                order: ChainingOrder::Structural,
+            FixpointStrategy::Bfs {
+                use_frontier: false,
             },
             FixpointStrategy::Saturation,
         ] {
@@ -74,49 +71,22 @@ fn check_deadlocks(net: &PetriNet, expected_markings: usize, expected_deadlocks:
     }
 }
 
-/// Pinned strategy regression: Chaining and Bfs must report *identical*
-/// marking and deadlock counts on the dme and slotted-ring families, and
-/// chaining must converge in strictly fewer fixpoint passes than BFS needs
-/// iterations (the point of the chained strategy on pipelined nets).
+/// Pinned strategy regression: Saturation and Bfs must report *identical*
+/// marking and deadlock counts on the dme and slotted-ring families.
 fn check_strategy_agreement(net: &PetriNet, expected_markings: f64, expected_deadlocks: f64) {
     let smcs = find_smcs(net).expect("benchmark nets stay within limits");
     let encoding = Encoding::improved(net, &smcs, AssignmentStrategy::Gray);
     let mut bfs_ctx = SymbolicContext::new(net, encoding.clone());
-    let mut chain_ctx = SymbolicContext::new(net, encoding.clone());
     let (bfs, bfs_dead) =
         bfs_ctx.analyze_deadlocks(TraversalOptions::with_strategy(FixpointStrategy::Bfs {
             use_frontier: true,
         }));
-    let (chained, chain_dead) = chain_ctx.analyze_deadlocks(TraversalOptions::with_strategy(
-        FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        },
-    ));
     assert_eq!(bfs.num_markings, expected_markings, "{}: bfs", net.name());
-    assert_eq!(
-        chained.num_markings,
-        expected_markings,
-        "{}: chaining",
-        net.name()
-    );
     assert_eq!(
         bfs_dead,
         expected_deadlocks,
         "{}: bfs deadlocks",
         net.name()
-    );
-    assert_eq!(
-        chain_dead,
-        expected_deadlocks,
-        "{}: chaining deadlocks",
-        net.name()
-    );
-    assert!(
-        chained.iterations < bfs.iterations,
-        "{}: chaining took {} passes vs {} BFS iterations",
-        net.name(),
-        chained.iterations,
-        bfs.iterations
     );
     // Saturation reaches the identical fixpoint through its level-bucketed
     // sweeps (sweep counts are finer-grained than BFS iterations, so only
@@ -140,13 +110,13 @@ fn check_strategy_agreement(net: &PetriNet, expected_markings: f64, expected_dea
 }
 
 #[test]
-fn chaining_and_bfs_agree_on_slotted_ring() {
+fn saturation_and_bfs_agree_on_slotted_ring() {
     check_strategy_agreement(&slotted_ring(2), 14.0, 1.0);
     check_strategy_agreement(&slotted_ring(3), 62.0, 1.0);
 }
 
 #[test]
-fn chaining_and_bfs_agree_on_dme() {
+fn saturation_and_bfs_agree_on_dme() {
     check_strategy_agreement(&dme(3, DmeStyle::Spec), 135.0, 0.0);
 }
 

@@ -19,23 +19,17 @@ use pnsym::net::nets::{dme, figure1, muller, philosophers, slotted_ring, DmeStyl
 use pnsym::net::{NetBuilder, PetriNet};
 use pnsym::structural::{find_smcs, CoverStrategy};
 use pnsym::{
-    AssignmentStrategy, Budget, ChainingOrder, Encoding, FixpointStrategy, SiftPolicy,
-    SymbolicContext, TraversalOptions, TruncationReason, ZddContext,
+    AssignmentStrategy, Budget, Encoding, FixpointStrategy, SiftPolicy, SymbolicContext,
+    TraversalOptions, TruncationReason, ZddContext,
 };
 use proptest::prelude::*;
 
-/// Every sequential fixpoint strategy of the shared driver.
-fn all_strategies() -> [FixpointStrategy; 5] {
+/// Every fixpoint strategy of the shared driver.
+fn all_strategies() -> [FixpointStrategy; 3] {
     [
         FixpointStrategy::Bfs { use_frontier: true },
         FixpointStrategy::Bfs {
             use_frontier: false,
-        },
-        FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        },
-        FixpointStrategy::Chaining {
-            order: ChainingOrder::Index,
         },
         FixpointStrategy::Saturation,
     ]
@@ -470,8 +464,8 @@ mod fault_injection {
     use super::*;
     use pnsym::FaultSchedule;
 
-    /// Seeded fault schedules hit table growth, cache growth and replica
-    /// imports at deterministic points; every outcome must be a typed
+    /// Seeded fault schedules hit table growth and cache growth at
+    /// deterministic points; every outcome must be a typed
     /// truncation with balanced protections and a usable manager.
     #[test]
     fn seeded_fault_schedules_unwind_cleanly_across_the_matrix() {

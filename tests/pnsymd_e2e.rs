@@ -6,7 +6,8 @@
 //! witness length and firing sequence — against direct `check_property`
 //! calls on an identically built context. The warm second pass must report
 //! a context-pool hit and return bit-identical verdicts, and on dme the
-//! warm pass must be at least 5× faster than the cold one.
+//! warm pass must be at least 5× faster than the cold one. The daemon runs
+//! breadth-first, the strategy these figures were measured under.
 
 use pnsym::net::nets::{self, property_suite};
 use pnsym::net::PetriNet;
@@ -14,8 +15,10 @@ use pnsym::server::{
     build_context, serve, Client, NetResolver, PoolOutcome, Request, Response, ServerConfig,
     ServerHandle, Verdict,
 };
-use pnsym::Property;
+use pnsym::{FixpointStrategy, Property, TraversalOptions};
 use std::time::Instant;
+
+const BFS: FixpointStrategy = FixpointStrategy::Bfs { use_frontier: true };
 
 fn boot() -> ServerHandle {
     let resolver: NetResolver = Box::new(|spec| match spec {
@@ -24,7 +27,11 @@ fn boot() -> ServerHandle {
         "dme-spec-5" => Some(nets::dme(5, nets::DmeStyle::Spec)),
         _ => None,
     });
-    serve("127.0.0.1:0", ServerConfig::default(), resolver).expect("ephemeral port")
+    let config = ServerConfig {
+        default_strategy: BFS,
+        ..ServerConfig::default()
+    };
+    serve("127.0.0.1:0", config, resolver).expect("ephemeral port")
 }
 
 /// The net's bundled suite as a `check` request.
@@ -117,7 +124,7 @@ fn served_verdicts_match_direct_check_property() {
         let mut ctx = build_context(&net);
         for (spec_prop, verdict) in suite.iter().zip(&served) {
             let property = Property::parse(&spec_prop.formula, &net).expect("bundled formula");
-            let direct = ctx.check_property(&property);
+            let direct = ctx.check_property_with(&property, TraversalOptions::with_strategy(BFS));
             assert_eq!(verdict.name, spec_prop.name);
             assert_eq!(
                 verdict.holds, direct.holds,

@@ -55,13 +55,12 @@ fn arb_id() -> impl Strategy<Value = u64> {
 }
 
 fn arb_truncation() -> impl Strategy<Value = Option<TruncationReason>> {
-    (0usize..7).prop_map(|i| match i {
+    (0usize..6).prop_map(|i| match i {
         0 => Some(TruncationReason::Iterations),
         1 => Some(TruncationReason::Deadline),
         2 => Some(TruncationReason::NodeBudget),
         3 => Some(TruncationReason::StepBudget),
         4 => Some(TruncationReason::InjectedFault),
-        5 => Some(TruncationReason::WorkerLoss),
         _ => None,
     })
 }

@@ -3,15 +3,20 @@
 //! Pins the full crash-safety story at the library level:
 //!
 //! * warm snapshots round-trip bit-identically (random nets × strategies,
-//!   re-exported reached-set bytes equal to the originals);
+//!   re-exported reached-set bytes equal to the originals), and the bytes
+//!   they persist depend neither on the context nor on the strategy that
+//!   computed the reached set;
 //! * torn, truncated and bit-flipped snapshot files are always rejected
 //!   with a typed reason — never a panic — and deleted, so the next query
-//!   degrades to a cold rebuild;
+//!   degrades to a cold rebuild; so is a snapshot naming a retired
+//!   strategy;
 //! * a fixpoint checkpointed at pass boundaries resumes after a simulated
 //!   crash and converges to the *same* fixpoint, bit-identical to a cold
 //!   run;
 //! * the scheduler serves an evicted-then-spilled family from disk with a
-//!   `restored` pool outcome and verdicts identical to the cold pass;
+//!   `restored` pool outcome and verdicts identical to the cold pass, and
+//!   answers a retired strategy name with a typed `request` error on a
+//!   connection that stays open;
 //! * an overloaded daemon answers surplus portfolio queries with a typed
 //!   `overloaded` error carrying a retry-after hint while ping keeps
 //!   working;
@@ -19,15 +24,15 @@
 //!   connections as typed connect errors, and rides out a dropped
 //!   connection by reconnecting and resending the same idempotent request.
 
-use pnsym::bdd::Ref;
+use pnsym::bdd::{snapshot_checksum, Ref};
 use pnsym::net::nets::{self, property_suite};
 use pnsym::net::PetriNet;
 use pnsym::server::{
-    build_context, canonical_net_hash, parse_strategy, serve, Client, ClientConfig, ClientError,
-    ErrorCode, NetResolver, PoolOutcome, Request, Response, ServerConfig, ServerHandle,
+    build_context, canonical_net_hash, serve, Client, ClientConfig, ClientError, ErrorCode,
+    NetResolver, PoolOutcome, Request, Response, ServerConfig, ServerHandle, SnapshotRejection,
     SnapshotStore, Verdict, WarmContext,
 };
-use pnsym::{SymbolicContext, TraversalOptions};
+use pnsym::{FixpointStrategy, SymbolicContext, TraversalOptions};
 use proptest::prelude::*;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -61,7 +66,11 @@ fn test_net(pick: usize) -> (&'static str, PetriNet) {
 }
 
 fn test_strategy(pick: usize) -> &'static str {
-    ["bfs", "chaining", "saturation"][pick % 3]
+    ["bfs", "bfs-full", "saturation"][pick % 3]
+}
+
+fn strategy(name: &str) -> FixpointStrategy {
+    name.parse().expect("surviving strategy name")
 }
 
 /// The net's bundled suite as a `check` request.
@@ -108,7 +117,7 @@ proptest! {
     #[test]
     fn warm_snapshots_round_trip_bit_identically(net_pick in 0usize..4, strat_pick in 0usize..3) {
         let (spec, net) = test_net(net_pick);
-        let strategy = parse_strategy(test_strategy(strat_pick)).expect("bundled strategy");
+        let strategy = strategy(test_strategy(strat_pick));
         let key = canonical_net_hash(&net);
         let options = TraversalOptions::with_strategy(strategy);
 
@@ -144,7 +153,7 @@ proptest! {
     fn corrupted_snapshots_always_reject_typed(cut in 0usize..10_000, flip in 0usize..10_000) {
         let net = nets::figure1();
         let key = canonical_net_hash(&net);
-        let strategy = parse_strategy("bfs").expect("bfs");
+        let strategy = strategy("bfs");
         let mut entry = WarmContext::new(key, "figure1", build_context(&net));
         let run = entry
             .context_mut()
@@ -185,6 +194,143 @@ proptest! {
     }
 }
 
+/// The bytes a snapshot persists are a function of the reached set alone:
+/// two fresh contexts of each bundled family under the same strategy
+/// export identical bytes, and so do the `bfs` and `saturation` reached
+/// sets (levels, packed edges and complement bits included).
+#[test]
+fn reached_set_exports_are_byte_identical_across_contexts_and_strategies() {
+    let families = [
+        nets::figure1(),
+        nets::philosophers(3),
+        nets::muller(4),
+        nets::slotted_ring(3),
+        nets::dme(3, nets::DmeStyle::Spec),
+        nets::jjreg(nets::JjregVariant::B),
+    ];
+    for net in &families {
+        let export = |name: &str| {
+            let mut ctx = build_context(net);
+            let run = ctx.reachable_markings_with(TraversalOptions::with_strategy(strategy(name)));
+            assert!(run.truncated.is_none(), "{}: {name}", net.name());
+            export_bytes(&ctx, run.reached, 0)
+        };
+        let bfs = export("bfs");
+        assert_eq!(bfs, export("bfs"), "{}: two bfs contexts", net.name());
+        let sat = export("saturation");
+        assert_eq!(
+            sat,
+            export("saturation"),
+            "{}: two saturation contexts",
+            net.name()
+        );
+        assert_eq!(bfs, sat, "{}: bfs and saturation reached sets", net.name());
+    }
+}
+
+/// A warm snapshot whose entry names the retired `chaining` strategy is a
+/// typed rejection, not a panic: the file is deleted, and a daemon booted
+/// over it rebuilds the family cold.
+#[test]
+fn warm_snapshot_naming_a_retired_strategy_is_rejected_and_rebuilt_cold() {
+    let net = nets::figure1();
+    let key = canonical_net_hash(&net);
+    // `bfs-full` and `chaining` have the same length, so renaming the entry
+    // in place keeps every length field valid; only the checksum changes.
+    let strategy = strategy("bfs-full");
+    let mut entry = WarmContext::new(key, "figure1", build_context(&net));
+    let run = entry
+        .context_mut()
+        .reachable_markings_with(TraversalOptions::with_strategy(strategy));
+    entry.store_reached(strategy, run);
+    let dir = scratch_dir("retired-strategy");
+    let mut store = SnapshotStore::open(&dir).expect("open store");
+    assert!(store.save_warm(&entry).expect("save warm"));
+    let path = dir.join(format!("warm-{key:016x}.pnsnap"));
+    let mut bytes = fs::read(&path).expect("read snapshot");
+    let at = bytes
+        .windows(8)
+        .position(|w| w == b"bfs-full")
+        .expect("entry names its strategy");
+    bytes[at..at + 8].copy_from_slice(b"chaining");
+    let body = bytes.len() - 8;
+    let sum = snapshot_checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    fs::write(&path, &bytes).expect("write renamed snapshot");
+
+    let mut fresh = build_context(&net);
+    let rejection = store
+        .restore_warm(key, &mut fresh)
+        .expect("file exists")
+        .expect_err("a retired strategy must be rejected");
+    assert!(
+        matches!(&rejection, SnapshotRejection::Mismatch(what) if what.contains("`chaining`")),
+        "{rejection}"
+    );
+    assert!(!path.exists(), "rejected snapshot is deleted");
+
+    fs::write(&path, &bytes).expect("write renamed snapshot again");
+    let handle = boot(ServerConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let responses = client
+        .request(&suite_request(1, "figure1", &net))
+        .expect("cold rebuild");
+    let Some(Response::Done { pool, .. }) = responses.last() else {
+        panic!("stream ends in done: {responses:?}");
+    };
+    assert_eq!(
+        *pool,
+        PoolOutcome::Miss,
+        "the rejected snapshot is not served"
+    );
+    assert!(!verdicts(&responses).is_empty());
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Each retired strategy spelling is a terminal `request` error naming the
+/// surviving strategies, and the connection stays open for the next query.
+#[test]
+fn retired_strategy_names_are_rejected_over_the_wire() {
+    let handle = boot(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let net = nets::figure1();
+    for (id, name) in (1..).zip(["chaining", "chaining-index", "parallel", "parallel-2"]) {
+        let mut request = suite_request(id, "figure1", &net);
+        let Request::Check(check) = &mut request else {
+            unreachable!("suite requests are checks");
+        };
+        check.strategy = Some(name.to_string());
+        let responses = client.request(&request).expect("typed error");
+        let [Response::Error {
+            code,
+            message,
+            terminal,
+            ..
+        }] = responses.as_slice()
+        else {
+            panic!("{name}: expected one error line, got {responses:?}");
+        };
+        assert_eq!(*code, ErrorCode::Request, "{name}");
+        assert!(*terminal, "{name}");
+        assert!(
+            message.contains(name) && message.contains("bfs, bfs-full or saturation"),
+            "{name}: {message}"
+        );
+        let pong = client
+            .request(&Request::Ping { id: 100 + id })
+            .expect("ping");
+        assert!(
+            matches!(pong.as_slice(), [Response::Pong { .. }]),
+            "{pong:?}"
+        );
+    }
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Checkpointed fixpoints resume after a crash
 // ---------------------------------------------------------------------------
@@ -198,7 +344,7 @@ fn checkpoint_resume_converges_to_the_cold_fixpoint() {
     let net = nets::philosophers(3);
     let spec = "phil-3";
     let key = canonical_net_hash(&net);
-    let strategy = parse_strategy("bfs").expect("bfs");
+    let strategy = strategy("bfs");
     let options = TraversalOptions::with_strategy(strategy);
     let dir = scratch_dir("checkpoint-resume");
     let mut store = SnapshotStore::open(&dir).expect("open store");
@@ -242,7 +388,7 @@ fn checkpoint_resume_converges_to_the_cold_fixpoint() {
 
     // A checkpoint for a different strategy is left alone (None), and a
     // completed query clears its checkpoint.
-    let other = parse_strategy("chaining").expect("chaining");
+    let other = FixpointStrategy::Saturation;
     let mut fresh = build_context(&net);
     assert!(store.load_checkpoint(key, other, &mut fresh).is_none());
     assert!(dir.join(format!("ckpt-{key:016x}.pnsnap")).exists());
@@ -515,7 +661,7 @@ mod disk_faults {
 
     fn warm_entry(net: &PetriNet, spec: &str) -> WarmContext {
         let key = canonical_net_hash(net);
-        let strategy = parse_strategy("bfs").expect("bfs");
+        let strategy = super::strategy("bfs");
         let mut entry = WarmContext::new(key, spec, build_context(net));
         let run = entry
             .context_mut()
