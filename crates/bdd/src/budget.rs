@@ -259,14 +259,6 @@ impl Budget {
         self.breached
     }
 
-    /// Records a breach observed outside the budget's own checks. The first
-    /// recorded reason wins and stays sticky.
-    pub fn note_breach(&mut self, reason: TruncationReason) {
-        if self.breached.is_none() {
-            self.breached = Some(reason);
-        }
-    }
-
     /// Counts one governed step. Returns `true` when a real check
     /// ([`Budget::check`]) is due — every [`Budget::CHECK_INTERVAL`] steps,
     /// immediately once breached, or as soon as the step ceiling is
@@ -365,18 +357,6 @@ mod tests {
 
         let mut b = Budget::new().with_deadline(Duration::ZERO);
         assert_eq!(b.check(0).unwrap_err().reason, TruncationReason::Deadline);
-    }
-
-    #[test]
-    fn noted_breach_wins_and_is_first_reason() {
-        let mut b = Budget::new().with_step_ceiling(0);
-        b.note_breach(TruncationReason::InjectedFault);
-        b.note_breach(TruncationReason::Deadline);
-        assert_eq!(b.breached(), Some(TruncationReason::InjectedFault));
-        assert_eq!(
-            b.check(0).unwrap_err().reason,
-            TruncationReason::InjectedFault
-        );
     }
 
     #[test]

@@ -289,10 +289,6 @@ pub struct BddManager {
     pub(crate) peak_live: usize,
     /// Threshold of live nodes above which callers are advised to collect.
     pub(crate) gc_hint_threshold: usize,
-    /// Bumped by every adjacent-level swap (and hence by every sift or
-    /// explicit reordering). Lets traversal schedulers detect that cached
-    /// level information went stale (see [`BddManager::order_generation`]).
-    pub(crate) order_generation: u64,
     /// The resource envelope governing this manager's operations, if any
     /// (see [`BddManager::install_budget`]).
     pub(crate) budget: Option<Budget>,
@@ -333,7 +329,6 @@ impl BddManager {
             gc_reclaimed: 0,
             peak_live: 1,
             gc_hint_threshold: 1 << 20,
-            order_generation: 0,
             budget: None,
             #[cfg(feature = "fault-inject")]
             growths_seen: (0, 0),
@@ -597,15 +592,6 @@ impl BddManager {
     /// extraction — leaves this value unchanged.
     pub fn protected_root_count(&self) -> usize {
         self.protected.values().sum()
-    }
-
-    /// Generation counter of the variable order: bumped by every
-    /// adjacent-level swap, and therefore by every sifting pass or
-    /// explicit reordering that actually moved a variable. Schedulers that
-    /// cache per-level information (e.g. the saturation strategy's level
-    /// buckets) compare generations to detect staleness.
-    pub fn order_generation(&self) -> u64 {
-        self.order_generation
     }
 
     /// Whether the number of live nodes has crossed the advisory GC threshold.

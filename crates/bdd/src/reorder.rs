@@ -42,7 +42,6 @@ impl BddManager {
         let y = x + 1;
         assert!(y < self.var_at_level.len(), "level out of range for swap");
         self.cache.invalidate_all();
-        self.order_generation += 1;
 
         let x_nodes: Vec<u32> = self.unique[x].node_indices().collect();
         let y_nodes: Vec<u32> = self.unique[y].node_indices().collect();

@@ -823,7 +823,7 @@ mod tests {
         let f = z.family_from_sets(&[vec![0], vec![1]]);
         let g = z.change(f, 0);
         assert_eq!(z.sets(g), vec![vec![], vec![0, 1]]);
-        // Toggling twice is the identity.
+        // Changing the same variable twice is the identity.
         let h = z.change(g, 0);
         assert_eq!(h, f);
     }

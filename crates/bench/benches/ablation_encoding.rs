@@ -2,11 +2,10 @@
 //!
 //! * E6 — Gray vs plain-binary code assignment inside SMC blocks;
 //! * E7 — basic SMC cover (Section 4.3) vs improved overlap-aware encoding
-//!   (Section 4.4);
-//! * E8 — traversal with and without dynamic variable reordering (sifting).
+//!   (Section 4.4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pnsym_core::{AssignmentStrategy, Encoding, SiftPolicy, SymbolicContext, TraversalOptions};
+use pnsym_core::{AssignmentStrategy, Encoding, SymbolicContext};
 use pnsym_net::nets::{muller, philosophers, slotted_ring};
 use pnsym_net::PetriNet;
 use pnsym_structural::{find_smcs, CoverStrategy};
@@ -20,13 +19,10 @@ fn nets() -> Vec<(&'static str, PetriNet)> {
     ]
 }
 
-fn traverse(net: &PetriNet, encoding: Encoding, sift: SiftPolicy) -> f64 {
-    let mut ctx = SymbolicContext::new(net, encoding);
-    ctx.reachable_markings_with(TraversalOptions {
-        sift,
-        ..TraversalOptions::default()
-    })
-    .num_markings
+fn traverse(net: &PetriNet, encoding: Encoding) -> f64 {
+    SymbolicContext::new(net, encoding)
+        .reachable_markings()
+        .num_markings
 }
 
 fn bench_gray_vs_binary(c: &mut Criterion) {
@@ -42,7 +38,7 @@ fn bench_gray_vs_binary(c: &mut Criterion) {
         ] {
             let enc = Encoding::improved(&net, &smcs, strategy);
             group.bench_function(BenchmarkId::new(label, name), |b| {
-                b.iter(|| traverse(&net, enc.clone(), SiftPolicy::Never))
+                b.iter(|| traverse(&net, enc.clone()))
             });
         }
     }
@@ -59,35 +55,14 @@ fn bench_basic_vs_improved(c: &mut Criterion) {
         let basic = Encoding::dense(&net, &smcs, CoverStrategy::Greedy, AssignmentStrategy::Gray);
         let improved = Encoding::improved(&net, &smcs, AssignmentStrategy::Gray);
         group.bench_function(BenchmarkId::new("basic", name), |b| {
-            b.iter(|| traverse(&net, basic.clone(), SiftPolicy::Never))
+            b.iter(|| traverse(&net, basic.clone()))
         });
         group.bench_function(BenchmarkId::new("improved", name), |b| {
-            b.iter(|| traverse(&net, improved.clone(), SiftPolicy::Never))
+            b.iter(|| traverse(&net, improved.clone()))
         });
     }
     group.finish();
 }
 
-fn bench_sifting(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/reordering");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    group.warm_up_time(Duration::from_millis(500));
-    for (name, net) in nets().into_iter().take(2) {
-        group.bench_function(BenchmarkId::new("sparse_no_sift", name), |b| {
-            b.iter(|| traverse(&net, Encoding::sparse(&net), SiftPolicy::Never))
-        });
-        group.bench_function(BenchmarkId::new("sparse_sift", name), |b| {
-            b.iter(|| traverse(&net, Encoding::sparse(&net), SiftPolicy::EveryIterations(4)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_gray_vs_binary,
-    bench_basic_vs_improved,
-    bench_sifting
-);
+criterion_group!(benches, bench_gray_vs_binary, bench_basic_vs_improved);
 criterion_main!(benches);

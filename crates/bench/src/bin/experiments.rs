@@ -7,9 +7,8 @@
 //! experiments table4 [--paper-scale]   ZDD-sparse vs dense BDD (Table 4)
 //! experiments fig2                     encoding / toggling comparison (Figure 2, Section 3)
 //! experiments table1                   the 2-philosopher encoding (Tables 1-2, Figure 3/4)
-//! experiments ablation                 Gray vs binary codes, basic vs improved cover, sifting
+//! experiments ablation                 Gray vs binary codes, basic vs improved cover
 //! experiments strategies               Bfs vs Saturation fixpoint strategies per net
-//! experiments orders                   BFS-distance vs toggling-chosen static variable order
 //! experiments properties               CTL property suites of the bundled nets
 //! experiments check <props-file>       run a property file against its nets (or --check=FILE)
 //! experiments all [--paper-scale]      everything above except `check`
@@ -19,19 +18,15 @@
 //! Run with `cargo run --release -p pnsym-bench --bin experiments -- all`.
 //!
 //! `--strategy=bfs|bfs-full|saturation` selects the fixpoint strategy used
-//! by the table3/table4/smoke/properties/check/orders analyses and the
-//! sifting ablation (default `bfs`, the paper's algorithm, although the
-//! library default is saturation). The `strategies` command always compares
-//! Bfs and Saturation per net. The retired names `chaining`,
-//! `chaining-index`, `parallel` and `parallel-N`, and the retired
-//! `--threads=N` flag, exit with status 2.
+//! by the table3/table4/smoke/properties/check analyses (default `bfs`, the
+//! paper's algorithm, although the library default is saturation). The
+//! `strategies` command always compares Bfs and Saturation per net. The
+//! retired names `chaining`, `chaining-index`, `parallel` and `parallel-N`
+//! exit with status 2.
 //!
-//! `--order=bfs|toggling` picks the static variable order of the
-//! table3/table4/smoke analyses (default `bfs`, the encoding's structural
-//! BFS-distance layout; `toggling` sorts state variables by descending
-//! toggle count over the explicit reachability graph, Section 5.2). The
-//! `orders` command always compares both per table-3 net, medians over
-//! several runs.
+//! Any other `--flag` — a typo such as `--stratgy=saturation`, or a retired
+//! flag such as `--threads=N` or `--order=NAME` — is a usage error: the
+//! harness names the flag and exits with status 2.
 //!
 //! `--time-budget=DUR` (e.g. `1ms`, `250us`, `2s`) and `--node-budget=N`
 //! put the table3/table4/smoke/properties/check analyses under a resource
@@ -69,7 +64,7 @@ use pnsym_bench::{net_by_spec, table3_workloads, table4_workloads, Scale, Worklo
 use pnsym_core::{
     analyze, analyze_zdd_governed, analyze_zdd_with, toggling_activity, toggling_of_state_codes,
     AnalysisOptions, AnalysisReport, AssignmentStrategy, Budget, Encoding, FixpointStrategy,
-    Property, SiftPolicy, SymbolicContext, TraversalOptions, VariableOrder, ZddAnalysisReport,
+    Property, SymbolicContext, TraversalOptions, ZddAnalysisReport,
 };
 use pnsym_net::nets::{
     dme, figure1, muller, philosophers, property_suite, slotted_ring, DmeStyle, PropertySpec,
@@ -144,8 +139,45 @@ fn parse_budget_duration(s: &str) -> Option<Duration> {
         .map(|n| Duration::from_nanos(n.saturating_mul(nanos_per_unit)))
 }
 
+const USAGE: &str = "usage: experiments \
+     [table3|table4|fig2|table1|ablation|strategies|properties|check|smoke|all] \
+     [--paper-scale] [--strategy=bfs|bfs-full|saturation] [--json[=PATH]] [--check=FILE] \
+     [--time-budget=DUR] [--node-budget=N]";
+
+/// Every flag `main` reads. A name ending in `=` takes a value; any other
+/// name must match exactly. Anything else starting with `--` — a typo or a
+/// retired flag such as `--threads=N` or `--order=NAME` — is a usage error
+/// rather than silently ignored.
+const KNOWN_FLAGS: [&str; 7] = [
+    "--paper-scale",
+    "--json",
+    "--json=",
+    "--strategy=",
+    "--check=",
+    "--time-budget=",
+    "--node-budget=",
+];
+
+fn is_known_flag(arg: &str) -> bool {
+    KNOWN_FLAGS.iter().any(|&flag| {
+        if flag.ends_with('=') {
+            arg.starts_with(flag)
+        } else {
+            arg == flag
+        }
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !is_known_flag(a))
+    {
+        eprintln!("unknown flag `{flag}`");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
     let paper_scale = args.iter().any(|a| a == "--paper-scale");
     let scale = if paper_scale {
         Scale::Paper
@@ -159,13 +191,6 @@ fn main() {
             a.strip_prefix("--json=").map(str::to_string)
         }
     });
-    if args.iter().any(|a| a.starts_with("--threads")) {
-        eprintln!(
-            "--threads is retired with the parallel strategy \
-             (expected --strategy=bfs|bfs-full|saturation)"
-        );
-        std::process::exit(2);
-    }
     // The paper's algorithm unless a strategy is named, so the tables keep
     // reproducing the paper.
     let strategy = match args.iter().find_map(|a| a.strip_prefix("--strategy=")) {
@@ -174,14 +199,6 @@ fn main() {
             eprintln!("{err}");
             std::process::exit(2);
         }),
-    };
-    let order = match args.iter().find_map(|a| a.strip_prefix("--order=")) {
-        None | Some("bfs") => VariableOrder::Structural,
-        Some("toggling") => VariableOrder::Toggling,
-        Some(other) => {
-            eprintln!("unknown order `{other}` (expected bfs|toggling)");
-            std::process::exit(2);
-        }
     };
     let check_path: Option<String> = args
         .iter()
@@ -215,15 +232,14 @@ fn main() {
 
     let mut records: Vec<Value> = Vec::new();
     match command {
-        Some("table3") => table3(scale, strategy, order, budgets, &mut records),
-        Some("table4") => table4(scale, strategy, order, budgets, &mut records),
+        Some("table3") => table3(scale, strategy, budgets, &mut records),
+        Some("table4") => table4(scale, strategy, budgets, &mut records),
         Some("fig2") => figure2(),
         Some("table1") => table1(),
-        Some("ablation") => ablation(strategy),
+        Some("ablation") => ablation(),
         Some("strategies") => strategies(scale, &mut records),
-        Some("orders") => orders(scale, strategy, &mut records),
         Some("properties") => properties(strategy, budgets, &mut records),
-        Some("smoke") => smoke(strategy, order, budgets, &mut records),
+        Some("smoke") => smoke(strategy, budgets, &mut records),
         Some("check") => {
             let path = non_flags.get(1).map(|s| s.to_string()).or(check_path);
             let Some(path) = path else {
@@ -243,21 +259,15 @@ fn main() {
         Some("all") | None => {
             figure2();
             table1();
-            table3(scale, strategy, order, budgets, &mut records);
-            table4(scale, strategy, order, budgets, &mut records);
+            table3(scale, strategy, budgets, &mut records);
+            table4(scale, strategy, budgets, &mut records);
             strategies(scale, &mut records);
-            orders(scale, strategy, &mut records);
             properties(strategy, budgets, &mut records);
-            ablation(strategy);
+            ablation();
         }
         Some(other) => {
             eprintln!("unknown command `{other}`");
-            eprintln!(
-                "usage: experiments \
-                 [table3|table4|fig2|table1|ablation|strategies|orders|properties|check|smoke|all] \
-                 [--paper-scale] [--strategy=NAME] [--order=bfs|toggling] \
-                 [--json[=PATH]] [--check=FILE] [--time-budget=DUR] [--node-budget=N]"
-            );
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }
@@ -416,7 +426,6 @@ fn fmt_report(name: &str, r: &AnalysisReport) -> String {
 fn table3(
     scale: Scale,
     strategy: FixpointStrategy,
-    order: VariableOrder,
     budgets: BudgetFlags,
     records: &mut Vec<Value>,
 ) {
@@ -431,19 +440,14 @@ fn table3(
     );
     for Workload { name, net } in table3_workloads(scale) {
         let start = Instant::now();
-        // Both encodings run under the adaptive growth-ratio sifting
-        // trigger: the floor keeps the small nets untouched, and a run
-        // whose working set doubles mid-fixpoint gets its order re-tuned.
-        let mut sparse_options = AnalysisOptions::sparse()
-            .with_strategy(strategy)
-            .with_order(order);
-        sparse_options.traversal.sift = SiftPolicy::adaptive();
-        let mut dense_options = AnalysisOptions::dense()
-            .with_strategy(strategy)
-            .with_order(order);
-        dense_options.traversal.sift = SiftPolicy::adaptive();
-        let sparse = analyze(&net, &budgets.analysis(sparse_options));
-        let dense = analyze(&net, &budgets.analysis(dense_options));
+        let sparse = analyze(
+            &net,
+            &budgets.analysis(AnalysisOptions::sparse().with_strategy(strategy)),
+        );
+        let dense = analyze(
+            &net,
+            &budgets.analysis(AnalysisOptions::dense().with_strategy(strategy)),
+        );
         match (sparse, dense) {
             (Ok(s), Ok(d)) => {
                 if s.truncated.is_none() && d.truncated.is_none() {
@@ -483,7 +487,6 @@ fn table3(
 fn table4(
     scale: Scale,
     strategy: FixpointStrategy,
-    order: VariableOrder,
     budgets: BudgetFlags,
     records: &mut Vec<Value>,
 ) {
@@ -503,11 +506,7 @@ fn table4(
         };
         let dense = analyze(
             &net,
-            &budgets.analysis(
-                AnalysisOptions::dense()
-                    .with_strategy(strategy)
-                    .with_order(order),
-            ),
+            &budgets.analysis(AnalysisOptions::dense().with_strategy(strategy)),
         );
         match dense {
             Ok(d) => {
@@ -665,12 +664,7 @@ fn table1() {
 /// smallest table-3 nets, cross-checked against explicit exploration, so a
 /// kernel regression (wrong counts or a pathological slowdown) surfaces
 /// without a full criterion sweep.
-fn smoke(
-    strategy: FixpointStrategy,
-    order: VariableOrder,
-    budgets: BudgetFlags,
-    records: &mut Vec<Value>,
-) {
+fn smoke(strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Value>) {
     println!("\n== Smoke: kernel sanity on the two smallest nets ({strategy}) =====");
     let mut workloads = table3_workloads(Scale::Default);
     workloads.sort_by_key(|w| w.net.num_places());
@@ -679,20 +673,12 @@ fn smoke(
         let start = Instant::now();
         let sparse = analyze(
             &net,
-            &budgets.analysis(
-                AnalysisOptions::sparse()
-                    .with_strategy(strategy)
-                    .with_order(order),
-            ),
+            &budgets.analysis(AnalysisOptions::sparse().with_strategy(strategy)),
         )
         .expect("sparse analysis");
         let dense = analyze(
             &net,
-            &budgets.analysis(
-                AnalysisOptions::dense()
-                    .with_strategy(strategy)
-                    .with_order(order),
-            ),
+            &budgets.analysis(AnalysisOptions::dense().with_strategy(strategy)),
         )
         .expect("dense analysis");
         // A budgeted smoke run may legitimately truncate (that is what the
@@ -818,84 +804,6 @@ fn strategies(scale: Scale, records: &mut Vec<Value>) {
         }
     }
     println!("(both strategies must match the bfs markings exactly)");
-}
-
-/// Static-variable-order comparison: the dense analysis of every table-3
-/// net under the structural BFS-distance default and the toggling-chosen
-/// order (Section 5.2), medians over several interleaved runs. The
-/// marking counts must agree (the order only changes diagram shape); what
-/// differs is the node pressure and the traversal time.
-fn orders(scale: Scale, strategy: FixpointStrategy, records: &mut Vec<Value>) {
-    const SAMPLES: usize = 5;
-    println!("\n== Orders: BFS-distance vs toggling static order (dense, median of {SAMPLES}) ==");
-    println!(
-        "{:<12} {:>12} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} | {:>6}",
-        "PN", "markings", "nodes", "peak", "trav(ms)", "nodes", "peak", "trav(ms)", "b/t"
-    );
-    println!(
-        "{:<12} {:>12} | {:^29} | {:^29} |",
-        "", "", "bfs-distance order", "toggling order"
-    );
-    let compared = [VariableOrder::Structural, VariableOrder::Toggling];
-    for Workload { name, net } in table3_workloads(scale) {
-        // Interleave the samples round-robin across the two orders so
-        // ambient load drift hits both arms equally.
-        let mut runs: Vec<Vec<AnalysisReport>> = vec![Vec::new(); compared.len()];
-        let mut failed = false;
-        'sampling: for _ in 0..SAMPLES {
-            for (oi, &order) in compared.iter().enumerate() {
-                let options = AnalysisOptions::dense()
-                    .with_strategy(strategy)
-                    .with_order(order);
-                match analyze(&net, &options) {
-                    Ok(r) => runs[oi].push(r),
-                    Err(e) => {
-                        println!("{name:<12} {order} analysis failed: {e}");
-                        failed = true;
-                        break 'sampling;
-                    }
-                }
-            }
-        }
-        if failed {
-            continue;
-        }
-        let mut rows: Vec<(AnalysisReport, f64)> = Vec::new();
-        for mut samples in runs {
-            samples.sort_by_key(|a| a.traversal_time);
-            let median_ms = samples[samples.len() / 2].traversal_time.as_secs_f64() * 1e3;
-            let representative = samples.swap_remove(samples.len() / 2);
-            rows.push((representative, median_ms));
-        }
-        let (bfs, bfs_ms) = &rows[0];
-        let (tog, tog_ms) = &rows[1];
-        assert_eq!(
-            bfs.num_markings, tog.num_markings,
-            "{name}: variable orders disagree on the fixpoint"
-        );
-        println!(
-            "{:<12} {:>12.3e} | {:>9} {:>9} {:>9.3} | {:>9} {:>9} {:>9.3} | {:>5.2}x",
-            name,
-            bfs.num_markings,
-            bfs.bdd_nodes,
-            bfs.peak_live_nodes,
-            bfs_ms,
-            tog.bdd_nodes,
-            tog.peak_live_nodes,
-            tog_ms,
-            bfs_ms / tog_ms
-        );
-        for ((report, median_ms), order) in rows.iter().zip(compared) {
-            let mut record = bdd_record("orders", &name, "improved-dense", report);
-            if let Value::Object(fields) = &mut record {
-                fields.push(("order".to_string(), Value::Str(order.to_string())));
-                fields.push(("median_traversal_ms".to_string(), Value::Float(*median_ms)));
-                fields.push(("samples".to_string(), Value::UInt(SAMPLES as u64)));
-            }
-            records.push(record);
-        }
-    }
-    println!("(both orders must agree on the markings; toggling helps where activity is skewed)");
 }
 
 /// The symbolic context used by the property runner: the improved dense
@@ -1095,8 +1003,8 @@ fn check(path: &str, strategy: FixpointStrategy, budgets: BudgetFlags, records: 
 }
 
 /// Ablations: Gray vs binary code assignment, basic vs improved scheme,
-/// greedy vs exact covering, and the effect of dynamic reordering.
-fn ablation(strategy: FixpointStrategy) {
+/// greedy vs exact covering.
+fn ablation() {
     println!("\n== Ablations =======================================================");
     println!(
         "{:<12} {:>22} {:>22} {:>22}",
@@ -1130,29 +1038,6 @@ fn ablation(strategy: FixpointStrategy) {
             describe(&gray),
             describe(&seq),
             describe(&basic)
-        );
-    }
-
-    // Reordering ablation: traversal without sifting, with periodic
-    // sifting, and with the adaptive growth-ratio trigger, on the sparse
-    // encoding (where the ordering matters most).
-    println!("\nsifting ablation (sparse encoding):");
-    for Workload { name, net } in table3_workloads(Scale::Default).into_iter().take(3) {
-        let run = |sift: SiftPolicy| {
-            let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
-            let result = ctx.reachable_markings_with(TraversalOptions {
-                sift,
-                ..TraversalOptions::with_strategy(strategy)
-            });
-            (result.bdd_nodes, result.duration.as_secs_f64())
-        };
-        let (nodes_off, time_off) = run(SiftPolicy::Never);
-        let (nodes_on, time_on) = run(SiftPolicy::EveryIterations(4));
-        let (nodes_ad, time_ad) = run(SiftPolicy::adaptive());
-        println!(
-            "  {:<12} no-sift: {:>7} nodes {:>6.2}s   every-4: {:>7} nodes {:>6.2}s   \
-             adaptive: {:>7} nodes {:>6.2}s",
-            name, nodes_off, time_off, nodes_on, time_on, nodes_ad, time_ad
         );
     }
 }

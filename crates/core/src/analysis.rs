@@ -11,31 +11,16 @@ use pnsym_structural::{find_smcs_with, CoverStrategy, InvariantError, InvariantO
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// How the static variable order of the state variables is chosen before
-/// the traversal starts (dynamic reordering, if any, then refines it — see
-/// [`SiftPolicy`](crate::SiftPolicy)).
+/// The static variable order of the state variables: kept for source
+/// compatibility; the traversal never reorders, so the encoding's
+/// structural layout is the only order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VariableOrder {
-    /// The encoding's structural layout (the default): components in
-    /// breadth-first distance order from the initially marked places, as
-    /// laid out by the encoding construction.
+    /// The encoding's structural layout: components in breadth-first
+    /// distance order from the initially marked places, as laid out by the
+    /// encoding construction.
     #[default]
     Structural,
-    /// Order chosen by the toggling metric of Section 5.2
-    /// ([`toggling_variable_order`](crate::toggling::toggling_variable_order)):
-    /// state variables sorted by descending toggle count over the explicit
-    /// reachability graph. Requires an explicit exploration of the net; if
-    /// that fails (the net is too large), the structural order is kept.
-    Toggling,
-}
-
-impl fmt::Display for VariableOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VariableOrder::Structural => write!(f, "bfs"),
-            VariableOrder::Toggling => write!(f, "toggling"),
-        }
-    }
 }
 
 /// Options for a full symbolic analysis of one net under one scheme.
@@ -49,7 +34,8 @@ pub struct AnalysisOptions {
     pub cover_strategy: CoverStrategy,
     /// Limits for the P-invariant computation.
     pub invariants: InvariantOptions,
-    /// Static variable order applied before the traversal.
+    /// Static variable order; kept for source compatibility (see
+    /// [`VariableOrder`]).
     pub order: VariableOrder,
     /// Traversal options.
     pub traversal: TraversalOptions,
@@ -85,12 +71,6 @@ impl AnalysisOptions {
     /// The same options with the given traversal strategy.
     pub fn with_strategy(mut self, strategy: FixpointStrategy) -> Self {
         self.traversal.strategy = strategy;
-        self
-    }
-
-    /// The same options with the given static variable order.
-    pub fn with_order(mut self, order: VariableOrder) -> Self {
-        self.order = order;
         self
     }
 }
@@ -244,20 +224,6 @@ pub fn analyze(net: &PetriNet, options: &AnalysisOptions) -> Result<AnalysisRepo
     let encoding_time = start.elapsed();
 
     let mut ctx = SymbolicContext::new(net, encoding);
-    if options.order == VariableOrder::Toggling {
-        // Choosing the order needs the explicit reachability graph; a net
-        // too large to explore keeps the structural default.
-        if let Ok(rg) = net.explore() {
-            let order = crate::toggling::toggling_variable_order(net, ctx.encoding(), &rg);
-            // Map the state-variable permutation onto the manager's
-            // interleaved current/next layout.
-            let interleaved: Vec<_> = order
-                .iter()
-                .flat_map(|&i| [ctx.current_vars()[i], ctx.next_vars()[i]])
-                .collect();
-            ctx.manager_mut().reorder_to(&interleaved);
-        }
-    }
     let mut result = ctx.reachable_markings_with(options.traversal);
     let mut degraded = None;
     if result.truncated == Some(TruncationReason::NodeBudget) {
@@ -406,20 +372,6 @@ mod tests {
         let bdd = analyze(&net, &AnalysisOptions::sparse()).unwrap();
         assert_eq!(zdd.num_markings, bdd.num_markings);
         assert_eq!(zdd.num_variables, 14);
-    }
-
-    #[test]
-    fn toggling_order_agrees_with_the_structural_default() {
-        let net = muller(6);
-        let bfs = analyze(&net, &AnalysisOptions::dense()).unwrap();
-        let tog = analyze(
-            &net,
-            &AnalysisOptions::dense().with_order(VariableOrder::Toggling),
-        )
-        .unwrap();
-        assert_eq!(bfs.num_markings, tog.num_markings);
-        assert_eq!(bfs.num_variables, tog.num_variables);
-        assert_eq!(tog.truncated, None);
     }
 
     #[test]

@@ -79,14 +79,11 @@ pub use mc::{CheckReport, PortfolioReport, TraceKind};
 pub use plan::{ImageCluster, ImagePlan, PlannedTransition};
 pub use preplan::{PreImageCluster, PreImagePlan, PrePlannedTransition};
 pub use property::{Property, PropertyParseError};
-pub use toggling::{
-    per_variable_toggling, toggling_activity, toggling_of_state_codes, toggling_variable_order,
-    TogglingReport,
-};
+pub use toggling::{toggling_activity, toggling_of_state_codes, TogglingReport};
 pub use trace::WitnessTrace;
 pub use traverse::{
     FixpointStrategy, ParseStrategyError, PassObserver, ReachabilityResult, SiftPolicy,
-    TraversalOptions, ADAPTIVE_SIFT_FLOOR,
+    TraversalOptions,
 };
 pub use zdd_reach::{ZddContext, ZddReachabilityResult};
 

@@ -478,7 +478,7 @@ impl SymbolicContext {
 
     /// [`SymbolicContext::check_property`] with explicit traversal options
     /// for the underlying reachability fixpoint (strategy, GC threshold,
-    /// sifting policy).
+    /// budgets).
     pub fn check_property_with(
         &mut self,
         property: &Property,

@@ -1,4 +1,4 @@
-//! Toggling-activity metrics (Section 3 and Section 5.2 of the paper).
+//! Metrics of toggling activity (Section 3 and Section 5.2 of the paper).
 //!
 //! Moving from one marking to an adjacent one switches some encoding
 //! variables; the fewer bits toggle per firing, the cheaper the toggle-style
@@ -9,7 +9,8 @@
 use crate::encoding::Encoding;
 use pnsym_net::{PetriNet, ReachabilityGraph};
 
-/// Toggling statistics of an encoding over a reachability graph.
+/// Statistics of the toggling activity of an encoding over a reachability
+/// graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TogglingReport {
     /// Sum of the Hamming distances over all reachability-graph edges.
@@ -84,51 +85,6 @@ pub fn toggling_of_state_codes(rg: &ReachabilityGraph, codes: &[u32]) -> Togglin
         num_edges: rg.num_edges(),
         max_bits: max,
     }
-}
-
-/// Per-variable toggle counts of `encoding` over the reachability graph:
-/// `counts[i]` is the number of edges across which encoding variable `i`
-/// switches value.
-pub fn per_variable_toggling(
-    net: &PetriNet,
-    encoding: &Encoding,
-    rg: &ReachabilityGraph,
-) -> Vec<usize> {
-    let _ = net;
-    let codes: Vec<Vec<bool>> = rg
-        .markings()
-        .iter()
-        .map(|m| encoding.encode_marking(m))
-        .collect();
-    let mut counts = vec![0usize; encoding.num_vars()];
-    for &(src, _, dst) in rg.edges() {
-        for (i, count) in counts.iter_mut().enumerate() {
-            if codes[src][i] != codes[dst][i] {
-                *count += 1;
-            }
-        }
-    }
-    counts
-}
-
-/// A static variable order chosen by the toggling metric (Section 5.2):
-/// state-variable indices sorted by *descending* toggle count, ties broken
-/// by index. The most active variables — the ones every other firing
-/// rewrites — sit highest in the diagram, where a changed cofactor
-/// perturbs the fewest nodes below it.
-///
-/// The returned permutation is over encoding-variable indices
-/// (`0..encoding.num_vars()`); the caller maps them onto whatever
-/// current/next interleaving its manager uses.
-pub fn toggling_variable_order(
-    net: &PetriNet,
-    encoding: &Encoding,
-    rg: &ReachabilityGraph,
-) -> Vec<usize> {
-    let counts = per_variable_toggling(net, encoding, rg);
-    let mut order: Vec<usize> = (0..counts.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(counts[i]), i));
-    order
 }
 
 fn hamming(a: &[bool], b: &[bool]) -> usize {
@@ -209,36 +165,6 @@ mod tests {
         let rg_seq = toggling_activity(&net, &seq, &rg);
         assert!(rg_gray.total_bits <= rg_seq.total_bits);
         assert!(rg_gray.average() <= 2.0, "firing toggles at most both SMCs");
-    }
-
-    #[test]
-    fn per_variable_counts_sum_to_the_total() {
-        let net = figure1();
-        let rg = net.explore().unwrap();
-        let smcs = find_smcs(&net).unwrap();
-        let enc = Encoding::improved(&net, &smcs, AssignmentStrategy::Gray);
-        let counts = per_variable_toggling(&net, &enc, &rg);
-        assert_eq!(counts.len(), enc.num_vars());
-        let total: usize = counts.iter().sum();
-        assert_eq!(total, toggling_activity(&net, &enc, &rg).total_bits);
-    }
-
-    #[test]
-    fn toggling_order_is_a_permutation_sorted_by_activity() {
-        let net = figure1();
-        let rg = net.explore().unwrap();
-        let enc = Encoding::sparse(&net);
-        let counts = per_variable_toggling(&net, &enc, &rg);
-        let order = toggling_variable_order(&net, &enc, &rg);
-        let mut seen = order.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..enc.num_vars()).collect::<Vec<_>>());
-        for pair in order.windows(2) {
-            assert!(
-                counts[pair[0]] >= counts[pair[1]],
-                "most active variables come first"
-            );
-        }
     }
 
     #[test]

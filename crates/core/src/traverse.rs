@@ -27,7 +27,7 @@
 
 use crate::context::SymbolicContext;
 use crate::plan::ImagePlan;
-use pnsym_bdd::{Budget, Interrupt, Ref, SiftConfig, TruncationReason};
+use pnsym_bdd::{Budget, Interrupt, Ref, TruncationReason};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -47,41 +47,16 @@ macro_rules! governed {
     };
 }
 
-/// When to run dynamic variable reordering during traversal.
+/// Dynamic variable reordering during traversal: kept for source
+/// compatibility; the traversal never reorders. A caller that wants a
+/// tuned order sifts the manager between runs
+/// ([`pnsym_bdd::BddManager::sift`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SiftPolicy {
-    /// Never reorder (the default: the structural variable order is already
-    /// good for the generated benchmark families).
+    /// Never reorder (the only policy).
     #[default]
     Never,
-    /// Sift after every `n`-th traversal iteration.
-    EveryIterations(usize),
-    /// Growth-ratio heuristic: sift when the live node count between
-    /// passes exceeds `percent`% of the baseline recorded at the previous
-    /// sift (or at the first pass). A floor of
-    /// [`ADAPTIVE_SIFT_FLOOR`] live nodes keeps tiny diagrams — where a
-    /// reordering pass costs more than it can ever save — from triggering.
-    /// `AdaptiveGrowth { percent: 200 }` sifts whenever the working set
-    /// has doubled since the order was last tuned.
-    AdaptiveGrowth {
-        /// Trigger ratio in percent; values below 100 are treated as 100
-        /// (a ratio under 1.0 would sift on every pass).
-        percent: u32,
-    },
 }
-
-impl SiftPolicy {
-    /// The adaptive policy used by the benchmark harness: sift when the
-    /// working set doubles between passes.
-    pub fn adaptive() -> Self {
-        SiftPolicy::AdaptiveGrowth { percent: 200 }
-    }
-}
-
-/// Live-node floor below which [`SiftPolicy::AdaptiveGrowth`] never
-/// triggers: reordering a diagram this small costs more than the best
-/// possible order saves.
-pub const ADAPTIVE_SIFT_FLOOR: usize = 2048;
 
 /// How the fixpoint driver explores the state space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,7 +155,8 @@ pub struct TraversalOptions {
     /// needs the space), it doubles, so a traversal whose reached set keeps
     /// growing does not pay a useless collection every iteration.
     pub gc_threshold: usize,
-    /// Dynamic reordering policy.
+    /// Dynamic reordering policy; kept for source compatibility, the
+    /// traversal never reorders (see [`SiftPolicy`]).
     pub sift: SiftPolicy,
     /// Abort after this many iterations (safety valve for experiments).
     pub max_iterations: Option<usize>,
@@ -357,19 +333,11 @@ pub(crate) trait FixpointKernel {
     fn protect(&mut self, _s: Self::Set) {}
     /// Releases one protection of `s` (no-op by default).
     fn unprotect(&mut self, _s: Self::Set) {}
-    /// Between-iteration maintenance: garbage collection, reordering.
-    /// Called only when every live root is protected.
-    fn maintain(&mut self, _iteration: usize) {}
-    /// Generation counter of the backend's variable order, bumped by every
-    /// reordering. [`FixpointStrategy::Saturation`] compares generations
-    /// around [`FixpointKernel::maintain`] and rebuilds its level buckets
-    /// when the order changed under it — the per-cluster
-    /// [`FixpointKernel::cluster_top_level`] answers are only meaningful
-    /// for the order they were read under. Backends that never reorder
-    /// keep the default constant.
-    fn order_generation(&self) -> u64 {
-        0
-    }
+    /// Between-iteration maintenance (garbage collection). Called only
+    /// when every live root is protected. Must not reorder variables:
+    /// [`FixpointStrategy::Saturation`] buckets the clusters by
+    /// [`FixpointKernel::cluster_top_level`] once, before the first pass.
+    fn maintain(&mut self) {}
 }
 
 /// Runs the fixpoint under the given strategy. On return — *including* a
@@ -429,7 +397,7 @@ fn bfs<K: FixpointKernel>(
         frontier = new;
         iterations += 1;
         kernel.observe_pass(reached, iterations);
-        kernel.maintain(iterations);
+        kernel.maintain();
     }
 
     kernel.unprotect(frontier);
@@ -444,10 +412,6 @@ fn bfs<K: FixpointKernel>(
 /// first, keeping the structural order within each bucket so a
 /// level's inner fixpoint still fires along the net's flow. Returns the
 /// buckets and the inverse map `level_of[cluster] = bucket index`.
-///
-/// The bucketing is only valid for the variable order it was computed
-/// under: [`saturation`] rebuilds it whenever
-/// [`FixpointKernel::order_generation`] reports a mid-fixpoint reordering.
 fn saturation_buckets<K: FixpointKernel>(kernel: &K) -> (Vec<Vec<usize>>, Vec<usize>) {
     let mut buckets: std::collections::BTreeMap<std::cmp::Reverse<u32>, Vec<usize>> =
         std::collections::BTreeMap::new();
@@ -471,8 +435,7 @@ fn saturation<K: FixpointKernel>(
     kernel: &mut K,
     max_iterations: Option<usize>,
 ) -> FixpointRun<K::Set> {
-    let (mut levels, mut level_of) = saturation_buckets(kernel);
-    let mut generation = kernel.order_generation();
+    let (levels, level_of) = saturation_buckets(kernel);
     let num_clusters = kernel.num_clusters();
     // `feeds[c]` = the clusters whose pre-set intersects the post-set of
     // cluster `c`: the only clusters a productive firing of `c` can newly
@@ -547,23 +510,7 @@ fn saturation<K: FixpointKernel>(
                 }
                 iterations += 1;
                 kernel.observe_pass(reached, iterations);
-                kernel.maintain(iterations);
-                if kernel.order_generation() != generation {
-                    // Maintenance reordered the variables, so the level
-                    // bucketing (keyed on cluster_top_level under the *old*
-                    // order) is stale: what used to be the deepest bucket
-                    // may now sit at the top. Rebuild the buckets for the
-                    // new order — the per-cluster dirty flags carry over
-                    // unchanged, only their level grouping moves — and
-                    // restart the bottom-up scan.
-                    generation = kernel.order_generation();
-                    (levels, level_of) = saturation_buckets(kernel);
-                    dirty_level = levels
-                        .iter()
-                        .map(|level| level.iter().any(|&c| dirty[c]))
-                        .collect();
-                    continue 'outer;
-                }
+                kernel.maintain();
                 if !dirty_level[li] {
                     // The level's own firings fed nothing back into it:
                     // locally saturated without a confirm sweep.
@@ -587,14 +534,10 @@ fn saturation<K: FixpointKernel>(
 pub type PassObserver<'h> = dyn FnMut(&SymbolicContext, Ref, usize) + 'h;
 
 /// The BDD backend of the generic driver: cluster images through the
-/// context's [`ImagePlan`], manager protection, adaptive GC and sifting.
+/// context's [`ImagePlan`], manager protection and adaptive GC.
 struct BddFixpointKernel<'a, 'h> {
     ctx: &'a mut SymbolicContext,
     plan: Rc<ImagePlan>,
-    sift: SiftPolicy,
-    /// State of [`SiftPolicy::AdaptiveGrowth`]: the live node count when
-    /// the order was last tuned (`0` = not yet observed).
-    sift_baseline: usize,
     /// The traversal's start set: the initial marking, or its union with a
     /// resumed checkpoint seed. Computed (and protected) by the caller
     /// before the budget is installed.
@@ -630,8 +573,7 @@ impl FixpointKernel for BddFixpointKernel<'_, '_> {
 
     fn cluster_top_level(&self, cluster: usize) -> u32 {
         // The topmost *current* variable the cluster writes, at its level
-        // in the present order (the saturation driver re-reads the levels
-        // whenever order_generation reports a reordering).
+        // in the present order.
         let manager = self.ctx.manager();
         self.plan.clusters()[cluster]
             .var_indices
@@ -669,9 +611,8 @@ impl FixpointKernel for BddFixpointKernel<'_, '_> {
         self.ctx.manager_mut().unprotect(s);
     }
 
-    /// Adaptive garbage collection (with the doubling threshold) followed
-    /// by the sifting policy.
-    fn maintain(&mut self, iteration: usize) {
+    /// Adaptive garbage collection with the doubling threshold.
+    fn maintain(&mut self) {
         let manager = self.ctx.manager_mut();
         if manager.should_collect() {
             manager.collect_garbage();
@@ -683,33 +624,6 @@ impl FixpointKernel for BddFixpointKernel<'_, '_> {
                 manager.set_gc_threshold(threshold * 2);
             }
         }
-        match self.sift {
-            SiftPolicy::Never => {}
-            SiftPolicy::EveryIterations(n) => {
-                if n > 0 && iteration.is_multiple_of(n) {
-                    manager.sift_with(SiftConfig::default());
-                }
-            }
-            SiftPolicy::AdaptiveGrowth { percent } => {
-                let live = manager.live_node_count();
-                if self.sift_baseline == 0 {
-                    self.sift_baseline = live.max(1);
-                }
-                if live > ADAPTIVE_SIFT_FLOOR
-                    && live * 100 > self.sift_baseline * percent.max(100) as usize
-                {
-                    manager.sift_with(SiftConfig::default());
-                    // The post-sift size is the new baseline: the next
-                    // trigger fires only once the working set outgrows the
-                    // tuned order by the same ratio again.
-                    self.sift_baseline = manager.live_node_count().max(1);
-                }
-            }
-        }
-    }
-
-    fn order_generation(&self) -> u64 {
-        self.ctx.manager().order_generation()
     }
 }
 
@@ -767,8 +681,6 @@ impl SymbolicContext {
         let mut kernel = BddFixpointKernel {
             ctx: self,
             plan,
-            sift: options.sift,
-            sift_baseline: 0,
             start: start_set,
             observer,
         };
@@ -1013,177 +925,6 @@ mod tests {
             .reachable_markings()
             .num_markings;
         assert!(result.num_markings < full);
-    }
-
-    /// A three-cluster chain (`c0 → c1 → c2`) over bitmask sets whose
-    /// `maintain` reorders the backend mid-run: the level assignment of the
-    /// clusters inverts and `order_generation` bumps, exactly what a sift
-    /// does under the BDD kernel. The fire log records the generation each
-    /// image was computed under.
-    struct ReorderingMockKernel {
-        log: Vec<(usize, u64)>,
-        generation: u64,
-        reorder_at: usize,
-    }
-
-    impl FixpointKernel for ReorderingMockKernel {
-        type Set = u64;
-
-        fn empty(&self) -> u64 {
-            0
-        }
-        fn initial(&mut self) -> u64 {
-            0b1
-        }
-        fn num_clusters(&self) -> usize {
-            3
-        }
-        fn cluster_sequence(&self) -> Vec<usize> {
-            vec![0, 1, 2]
-        }
-        fn cluster_top_level(&self, cluster: usize) -> u32 {
-            // The mid-run reorder inverts the level assignment: cluster 0
-            // starts deepest, cluster 2 ends deepest.
-            if self.generation == 0 {
-                [30, 20, 10][cluster]
-            } else {
-                [10, 20, 30][cluster]
-            }
-        }
-        fn cluster_feeds(&self, from: usize, to: usize) -> bool {
-            to == from + 1
-        }
-        fn cluster_image(&mut self, cluster: usize, from: u64) -> Result<u64, Interrupt> {
-            self.log.push((cluster, self.generation));
-            Ok(if from & (1 << cluster) != 0 {
-                1 << (cluster + 1)
-            } else {
-                0
-            })
-        }
-        fn union(&mut self, a: u64, b: u64) -> Result<u64, Interrupt> {
-            Ok(a | b)
-        }
-        fn diff(&mut self, a: u64, b: u64) -> Result<u64, Interrupt> {
-            Ok(a & !b)
-        }
-        fn maintain(&mut self, iteration: usize) {
-            if iteration == self.reorder_at {
-                self.generation += 1;
-            }
-        }
-        fn order_generation(&self) -> u64 {
-            self.generation
-        }
-    }
-
-    #[test]
-    fn saturation_rebuilds_level_buckets_after_a_mid_run_reorder() {
-        let mut kernel = ReorderingMockKernel {
-            log: Vec::new(),
-            generation: 0,
-            reorder_at: 1,
-        };
-        let run = run_fixpoint(&mut kernel, FixpointStrategy::Saturation, None);
-        assert_eq!(run.reached, 0b1111);
-        assert!(run.truncated.is_none());
-        assert_eq!(kernel.generation, 1, "the mock must have reordered mid-run");
-        // After the reorder, cluster 2 owns the deepest bucket, so the
-        // bottom-up scan must visit it before cluster 1. With stale buckets
-        // the scan instead carries on with the *old* deepest-first order and
-        // fires cluster 1 next.
-        let first_after_reorder = kernel
-            .log
-            .iter()
-            .find(|&&(_, generation)| generation == 1)
-            .map(|&(cluster, _)| cluster);
-        assert_eq!(
-            first_after_reorder,
-            Some(2),
-            "saturation kept firing under the stale level bucketing: {:?}",
-            kernel.log
-        );
-    }
-
-    #[test]
-    fn sifting_during_traversal_preserves_the_answer() {
-        let net = slotted_ring(3);
-        let expected = net.explore().unwrap().num_markings() as f64;
-        for strategy in all_strategies() {
-            let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
-            let result = ctx.reachable_markings_with(TraversalOptions {
-                sift: SiftPolicy::EveryIterations(2),
-                strategy,
-                ..TraversalOptions::default()
-            });
-            assert_eq!(result.num_markings, expected, "{strategy}");
-        }
-    }
-
-    #[test]
-    fn adaptive_sifting_during_traversal_preserves_the_answer() {
-        let net = slotted_ring(3);
-        let expected = net.explore().unwrap().num_markings() as f64;
-        for strategy in all_strategies() {
-            let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
-            let result = ctx.reachable_markings_with(TraversalOptions {
-                sift: SiftPolicy::adaptive(),
-                strategy,
-                ..TraversalOptions::default()
-            });
-            assert_eq!(result.num_markings, expected, "{strategy}");
-        }
-    }
-
-    #[test]
-    fn adaptive_sift_trigger_fires_and_resets_its_baseline() {
-        let net = philosophers(2);
-        let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
-        // Populate the manager past the adaptive floor: all 2^12 minterms
-        // over the first 12 variables, protected so maintenance keeps them
-        // (the minterm chains share suffixes, totalling ~2^13 nodes).
-        let vars = ctx.manager().variables()[..12].to_vec();
-        for bits in 0u32..(1 << 12) {
-            let m = ctx.manager_mut();
-            let mut minterm = m.one();
-            for (j, &v) in vars.iter().enumerate() {
-                let lit = if bits & (1 << j) != 0 {
-                    m.var(v)
-                } else {
-                    m.nvar(v)
-                };
-                minterm = m.and(minterm, lit);
-            }
-            m.protect(minterm);
-        }
-        assert!(ctx.manager().live_node_count() > ADAPTIVE_SIFT_FLOOR);
-        // A baseline of 1 says the order was last tuned when the diagram
-        // was tiny: the working set has grown far beyond 200% of it.
-        let plan = ctx.image_plan();
-        let start = ctx.initial_set();
-        let mut kernel = BddFixpointKernel {
-            ctx: &mut ctx,
-            plan,
-            sift: SiftPolicy::AdaptiveGrowth { percent: 200 },
-            sift_baseline: 1,
-            start,
-            observer: None,
-        };
-        kernel.maintain(1);
-        assert!(
-            kernel.sift_baseline > 1,
-            "the adaptive trigger must have sifted"
-        );
-        assert_eq!(
-            kernel.sift_baseline,
-            kernel.ctx.manager().live_node_count().max(1),
-            "a fired trigger records the post-sift size as the new baseline"
-        );
-        // Without further growth the next pass must not sift again.
-        let tuned = kernel.sift_baseline;
-        kernel.maintain(2);
-        assert_eq!(kernel.sift_baseline, tuned, "no re-sift without growth");
-        assert!(kernel.ctx.manager().check_invariants().is_ok());
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! Random nets are analysed by three independent engines — the
 //! complement-edge BDD kernel, the ZDD backend (which uses no complement
 //! attributes), and the explicit-state oracle — and the results are
-//! compared while the BDD run is stressed with tiny GC thresholds,
-//! mid-fixpoint sifting (periodic and adaptive) and typed budget
-//! interrupts. A CTL workload additionally pins the headline property of
-//! the representation: negation is a bit flip and disjunction goes through
-//! the `and` cache, so neither generates computed-cache traffic of its own.
+//! compared while the BDD run is stressed with tiny GC thresholds, a
+//! sifted (non-structural) variable order and typed budget interrupts. A
+//! CTL workload additionally pins the headline property of the
+//! representation: negation is a bit flip and disjunction goes through the
+//! `and` cache, so neither generates computed-cache traffic of its own.
 
 use pnsym_core::{
-    Encoding, FixpointStrategy, Property, SiftPolicy, SymbolicContext, TraversalOptions, ZddContext,
+    Encoding, FixpointStrategy, Property, SymbolicContext, TraversalOptions, ZddContext,
 };
 use pnsym_net::nets::{philosophers, property_suite, random_composed, RandomNetConfig};
 use pnsym_net::PetriNet;
@@ -27,20 +27,32 @@ fn context(net: &PetriNet) -> SymbolicContext {
     }
 }
 
-/// The stress profiles the BDD arm cycles through: every maintenance
-/// mechanism that rewrites the arena mid-fixpoint.
-fn stress_options(choice: u8, strategy: FixpointStrategy) -> TraversalOptions {
+/// The stress profiles the BDD arm cycles through: tiny GC thresholds
+/// that rewrite the arena mid-fixpoint, and a variable order sifted over
+/// the built transition relations before the traversal starts, so the
+/// fixpoint (saturation's level buckets included) runs on an order the
+/// encoding did not lay out.
+fn stress_options(
+    ctx: &mut SymbolicContext,
+    choice: u8,
+    strategy: FixpointStrategy,
+) -> TraversalOptions {
     let mut options = TraversalOptions::with_strategy(strategy);
     match choice % 4 {
         1 => options.gc_threshold = 32,
-        2 => options.sift = SiftPolicy::EveryIterations(2),
+        2 => sift_over_the_relations(ctx),
         3 => {
             options.gc_threshold = 64;
-            options.sift = SiftPolicy::AdaptiveGrowth { percent: 150 };
+            sift_over_the_relations(ctx);
         }
         _ => {}
     }
     options
+}
+
+fn sift_over_the_relations(ctx: &mut SymbolicContext) {
+    ctx.image_plan();
+    ctx.manager_mut().sift();
 }
 
 fn arb_config() -> impl Strategy<Value = RandomNetConfig> {
@@ -58,8 +70,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The complemented kernel, the ZDD backend and the explicit oracle
-    /// agree on every random net, under every strategy, while GC and
-    /// sifting rewrite the arena between passes.
+    /// agree on every random net, under every strategy, while GC rewrites
+    /// the arena between passes, under the structural or a sifted order.
     #[test]
     fn engines_agree_on_random_nets_under_maintenance_stress(
         config in arb_config(),
@@ -77,7 +89,8 @@ proptest! {
             FixpointStrategy::Saturation,
         ] {
             let mut ctx = context(&net);
-            let run = ctx.reachable_markings_with(stress_options(stress, strategy));
+            let options = stress_options(&mut ctx, stress, strategy);
+            let run = ctx.reachable_markings_with(options);
             prop_assert!(run.truncated.is_none(), "{strategy} truncated");
             prop_assert_eq!(run.num_markings, expected_markings, "{} markings", strategy);
             let dead = ctx.deadlocks_in(run.reached);
@@ -102,8 +115,9 @@ proptest! {
 
     /// A typed budget interrupt mid-fixpoint unwinds with every protection
     /// balanced: the truncated result carries exactly one extra protected
-    /// root, the arena stays canonical, and an ungoverned re-run on the
-    /// same manager still reaches the oracle's fixpoint.
+    /// root, the arena stays canonical (also after a sift of the unwound
+    /// manager, as the degradation ladder runs one), and an ungoverned
+    /// re-run on the same manager still reaches the oracle's fixpoint.
     #[test]
     fn budget_interrupts_unwind_with_balanced_protections(
         config in arb_config(),
@@ -123,7 +137,6 @@ proptest! {
         let governed = TraversalOptions {
             step_budget: Some(steps),
             gc_threshold: 64,
-            sift: SiftPolicy::EveryIterations(2),
             ..TraversalOptions::default()
         };
         let run = ctx.reachable_markings_with(governed);
@@ -133,8 +146,12 @@ proptest! {
         prop_assert!(ctx.manager().check_invariants().is_ok());
         prop_assert!(run.num_markings <= expected, "truncation under-approximates");
 
-        // The typed unwind leaves the manager fully operational: the
-        // ungoverned re-run completes and agrees with the oracle.
+        // The typed unwind leaves the manager fully operational: it sifts
+        // cleanly, and the ungoverned re-run completes and agrees with the
+        // oracle.
+        ctx.manager_mut().sift();
+        prop_assert!(ctx.manager().check_invariants().is_ok());
+        prop_assert_eq!(ctx.manager().protected_root_count(), before + 1);
         ctx.manager_mut().unprotect(run.reached);
         let rerun = ctx.reachable_markings_with(TraversalOptions::default());
         prop_assert!(rerun.truncated.is_none());

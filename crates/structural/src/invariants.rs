@@ -281,26 +281,14 @@ pub fn minimal_invariants_with(
         rows = kept;
     }
 
-    let mut invariants: Vec<Invariant> = rows
+    // The pruning above also ran after the last elimination step, so the
+    // rows are already distinct and minimal: no support strictly contains
+    // another.
+    let mut minimal: Vec<Invariant> = rows
         .into_iter()
         .filter(|r| r.weights.iter().any(|&w| w > 0))
         .map(|r| Invariant::new(r.weights))
         .collect();
-
-    // Final minimality filter on supports.
-    invariants.sort_by_key(|i| i.support().len());
-    let mut minimal: Vec<Invariant> = Vec::new();
-    for inv in invariants {
-        let support: BTreeSet<PlaceId> = inv.support().into_iter().collect();
-        let dominated = minimal.iter().any(|m| {
-            let ms: BTreeSet<PlaceId> = m.support().into_iter().collect();
-            ms.is_subset(&support) && ms.len() < support.len()
-        });
-        let duplicate = minimal.iter().any(|m| m.weights() == inv.weights());
-        if !dominated && !duplicate {
-            minimal.push(inv);
-        }
-    }
     minimal.sort_by_key(|i| i.support());
     Ok(minimal)
 }
@@ -308,7 +296,75 @@ pub fn minimal_invariants_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnsym_net::nets::{dme, figure1, muller, philosophers, slotted_ring, DmeStyle};
+    use pnsym_net::nets::{
+        dme, figure1, jjreg, muller, philosophers, random_composed, slotted_ring, DmeStyle,
+        JjregVariant, RandomNetConfig,
+    };
+
+    /// The final minimality filter `minimal_invariants_with` used to run on
+    /// its result, kept as the oracle: it drops every invariant whose
+    /// support strictly contains an earlier one's, and every duplicate.
+    /// Each kept support is built once, so the oracle stays fast enough
+    /// for the DME nets in debug builds.
+    fn final_minimality_filter(mut invariants: Vec<Invariant>) -> Vec<Invariant> {
+        invariants.sort_by_key(|i| i.support().len());
+        let mut minimal: Vec<(BTreeSet<PlaceId>, Invariant)> = Vec::new();
+        for inv in invariants {
+            let support: BTreeSet<PlaceId> = inv.support().into_iter().collect();
+            let dominated = minimal
+                .iter()
+                .any(|(ms, _)| ms.is_subset(&support) && ms.len() < support.len());
+            let duplicate = minimal.iter().any(|(_, m)| m.weights() == inv.weights());
+            if !dominated && !duplicate {
+                minimal.push((support, inv));
+            }
+        }
+        let mut minimal: Vec<Invariant> = minimal.into_iter().map(|(_, inv)| inv).collect();
+        minimal.sort_by_key(|i| i.support());
+        minimal
+    }
+
+    fn assert_filter_is_the_identity(net: &PetriNet) {
+        let invs = minimal_invariants(net).unwrap();
+        assert_eq!(
+            final_minimality_filter(invs.clone()),
+            invs,
+            "{}: the elimination loop left a non-minimal invariant",
+            net.name()
+        );
+    }
+
+    #[test]
+    fn final_minimality_filter_is_the_identity_on_bundled_nets() {
+        let mut nets = vec![figure1(), jjreg(JjregVariant::A), jjreg(JjregVariant::B)];
+        for n in 2..=5 {
+            nets.push(philosophers(n));
+            nets.push(slotted_ring(n));
+        }
+        for n in [4, 8, 12, 16] {
+            nets.push(muller(n));
+        }
+        for n in 2..=10 {
+            nets.push(dme(n, DmeStyle::Spec));
+            nets.push(dme(n, DmeStyle::Circuit));
+        }
+        for net in &nets {
+            assert_filter_is_the_identity(net);
+        }
+    }
+
+    #[test]
+    fn final_minimality_filter_is_the_identity_on_random_nets() {
+        for seed in 0..64 {
+            let config = RandomNetConfig {
+                components: 1 + (seed % 4) as usize,
+                min_places: 2,
+                max_places: 5,
+                synchronisations: (seed % 5) as usize,
+            };
+            assert_filter_is_the_identity(&random_composed(config, seed));
+        }
+    }
 
     #[test]
     fn figure1_has_the_two_paper_invariants() {

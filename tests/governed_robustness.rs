@@ -11,7 +11,8 @@
 //!   new root (its result), like a completed one;
 //! * the manager stays usable — an uninterrupted re-run *on the same
 //!   context* completes and agrees with the oracle, even when the truncated
-//!   run interleaved garbage collections and mid-run sifting.
+//!   run interleaved garbage collections and the unwound manager was sifted
+//!   (as the degradation ladder does) before the re-run.
 
 use std::time::Duration;
 
@@ -19,8 +20,8 @@ use pnsym::net::nets::{dme, figure1, muller, philosophers, slotted_ring, DmeStyl
 use pnsym::net::{NetBuilder, PetriNet};
 use pnsym::structural::{find_smcs, CoverStrategy};
 use pnsym::{
-    AssignmentStrategy, Budget, Encoding, FixpointStrategy, SiftPolicy, SymbolicContext,
-    TraversalOptions, TruncationReason, ZddContext,
+    AssignmentStrategy, Budget, Encoding, FixpointStrategy, SymbolicContext, TraversalOptions,
+    TruncationReason, ZddContext,
 };
 use proptest::prelude::*;
 
@@ -79,7 +80,18 @@ fn assert_governed_contract(
         "{label}: repeated governed run must under-approximate"
     );
     // The breached budget is disarmed when the traversal returns: the same
-    // context must complete an ungoverned run and agree with the oracle.
+    // context must sift like the degradation ladder does, then complete an
+    // ungoverned run and agree with the oracle.
+    ctx.manager_mut().sift();
+    assert_eq!(
+        ctx.manager().protected_root_count(),
+        after,
+        "{label}: sifting the unwound manager must keep its protections"
+    );
+    assert!(
+        ctx.manager().check_invariants().is_ok(),
+        "{label}: sifting the unwound manager must keep it canonical"
+    );
     let rerun = ctx.reachable_markings_with(TraversalOptions::with_strategy(options.strategy));
     assert!(
         rerun.truncated.is_none(),
@@ -214,8 +226,8 @@ fn build_net(spec: &RandomNetSpec) -> PetriNet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Satellite 3: interleave budget breaches with garbage collection and
-    /// mid-run sifting on random nets. Protections must stay balanced and
+    /// Interleave budget breaches with garbage collection on random nets,
+    /// and sift each unwound manager. Protections must stay balanced and
     /// an uninterrupted re-run on the same manager must match the explicit
     /// oracle, for every strategy under every encoding.
     #[test]
@@ -231,12 +243,11 @@ proptest! {
                 let label = format!(
                     "{:?} / {strategy} / steps={step_ceiling}", enc.scheme()
                 );
-                // A tiny GC threshold forces collections between passes and
-                // sifting reorders variables every iteration, so the unwind
-                // path is exercised against both maintenance hooks.
+                // A tiny GC threshold forces collections between passes,
+                // so the unwind path is exercised against the maintenance
+                // hook; the contract then sifts the unwound manager.
                 let options = TraversalOptions {
                     gc_threshold: 16,
-                    sift: SiftPolicy::EveryIterations(1),
                     step_budget: Some(step_ceiling),
                     ..TraversalOptions::with_strategy(strategy)
                 };

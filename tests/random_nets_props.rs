@@ -146,6 +146,21 @@ proptest! {
             prop_assert!(inv.verify(&net));
             prop_assert!(inv.is_semi_positive());
         }
+        // Minimal: no invariant repeats and no support strictly contains
+        // another, i.e. a final minimality filter over the result (the
+        // oracle of the structural crate's unit tests) would be the identity.
+        let strictly_inside =
+            |a: &[_], b: &[_]| a.len() < b.len() && a.iter().all(|p| b.contains(p));
+        for (i, a) in invariants.iter().enumerate() {
+            for b in &invariants[i + 1..] {
+                prop_assert_ne!(a, b);
+                let (sa, sb) = (a.support(), b.support());
+                prop_assert!(
+                    !strictly_inside(&sa, &sb) && !strictly_inside(&sb, &sa),
+                    "{} / {}", a, b
+                );
+            }
+        }
         // Each circular component is a one-token SMC, so at least as many
         // SMCs as components must be found.
         let smcs = find_smcs(&net).expect("small nets");
