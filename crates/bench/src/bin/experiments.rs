@@ -59,8 +59,8 @@
 //! eating-not-fated:   fails  AF eating.0
 //! ```
 
-use pnsym_bench::json::Value;
 use pnsym_bench::{net_by_spec, table3_workloads, table4_workloads, Scale, Workload};
+use pnsym_core::json::Json;
 use pnsym_core::{
     analyze, analyze_zdd_governed, analyze_zdd_with, toggling_activity, toggling_of_state_codes,
     AnalysisOptions, AnalysisReport, AssignmentStrategy, Budget, Encoding, FixpointStrategy,
@@ -230,7 +230,7 @@ fn main() {
         .collect();
     let command = non_flags.first().copied();
 
-    let mut records: Vec<Value> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     match command {
         Some("table3") => table3(scale, strategy, budgets, &mut records),
         Some("table4") => table4(scale, strategy, budgets, &mut records),
@@ -280,27 +280,27 @@ fn main() {
             eprintln!("--json: no per-net records produced by this command; not writing {path}");
             return;
         }
-        let doc = Value::object(vec![
-            ("schema", Value::Str("pnsym-experiments-v1".into())),
+        let doc = Json::object(vec![
+            ("schema", Json::Str("pnsym-experiments-v1".into())),
             (
                 "scale",
-                Value::Str(if paper_scale { "paper" } else { "default" }.into()),
+                Json::Str(if paper_scale { "paper" } else { "default" }.into()),
             ),
             (
                 "time_budget_ms",
-                budgets.time.map_or(Value::Str("none".into()), |d| {
-                    Value::Float(d.as_secs_f64() * 1e3)
+                budgets.time.map_or(Json::Str("none".into()), |d| {
+                    Json::Float(d.as_secs_f64() * 1e3)
                 }),
             ),
             (
                 "node_budget",
                 budgets
                     .nodes
-                    .map_or(Value::Str("none".into()), |n| Value::UInt(n as u64)),
+                    .map_or(Json::Str("none".into()), |n| Json::Int(n as i64)),
             ),
-            ("records", Value::Array(records)),
+            ("records", Json::Arr(records)),
         ]);
-        match std::fs::write(&path, doc.to_json() + "\n") {
+        match std::fs::write(&path, format!("{doc}\n")) {
             Ok(()) => println!("\nwrote {path}"),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");
@@ -311,69 +311,69 @@ fn main() {
 }
 
 /// One machine-readable record per (experiment, net, scheme) BDD run.
-fn bdd_record(experiment: &str, net: &str, scheme: &str, r: &AnalysisReport) -> Value {
+fn bdd_record(experiment: &str, net: &str, scheme: &str, r: &AnalysisReport) -> Json {
     let s = r.manager_stats;
-    let mut record = Value::object(vec![
-        ("experiment", Value::Str(experiment.into())),
-        ("net", Value::Str(net.into())),
-        ("scheme", Value::Str(scheme.into())),
-        ("strategy", Value::Str(r.strategy.to_string())),
-        ("variables", Value::UInt(r.num_variables as u64)),
-        ("markings", Value::Float(r.num_markings)),
-        ("bdd_nodes", Value::UInt(r.bdd_nodes as u64)),
-        ("peak_live_nodes", Value::UInt(r.peak_live_nodes as u64)),
-        ("iterations", Value::UInt(r.iterations as u64)),
+    let mut record = Json::object(vec![
+        ("experiment", Json::Str(experiment.into())),
+        ("net", Json::Str(net.into())),
+        ("scheme", Json::Str(scheme.into())),
+        ("strategy", Json::Str(r.strategy.to_string())),
+        ("variables", Json::Int(r.num_variables as i64)),
+        ("markings", Json::Float(r.num_markings)),
+        ("bdd_nodes", Json::Int(r.bdd_nodes as i64)),
+        ("peak_live_nodes", Json::Int(r.peak_live_nodes as i64)),
+        ("iterations", Json::Int(r.iterations as i64)),
         (
             "encoding_ms",
-            Value::Float(r.encoding_time.as_secs_f64() * 1e3),
+            Json::Float(r.encoding_time.as_secs_f64() * 1e3),
         ),
         (
             "traversal_ms",
-            Value::Float(r.traversal_time.as_secs_f64() * 1e3),
+            Json::Float(r.traversal_time.as_secs_f64() * 1e3),
         ),
-        ("total_ms", Value::Float(r.total_time.as_secs_f64() * 1e3)),
-        ("unique_entries", Value::UInt(s.unique_entries as u64)),
-        ("unique_load", Value::Float(s.unique_load())),
-        ("cache_hits", Value::UInt(s.cache_hits)),
-        ("cache_misses", Value::UInt(s.cache_misses)),
-        ("cache_overwrites", Value::UInt(s.cache_overwrites)),
-        ("cache_hit_rate", Value::Float(s.cache_hit_rate())),
-        ("cache_capacity", Value::UInt(s.cache_capacity as u64)),
-        ("gc_runs", Value::UInt(s.gc_runs as u64)),
-        ("gc_reclaimed", Value::UInt(s.gc_reclaimed as u64)),
+        ("total_ms", Json::Float(r.total_time.as_secs_f64() * 1e3)),
+        ("unique_entries", Json::Int(s.unique_entries as i64)),
+        ("unique_load", Json::Float(s.unique_load())),
+        ("cache_hits", Json::Int(s.cache_hits as i64)),
+        ("cache_misses", Json::Int(s.cache_misses as i64)),
+        ("cache_overwrites", Json::Int(s.cache_overwrites as i64)),
+        ("cache_hit_rate", Json::Float(s.cache_hit_rate())),
+        ("cache_capacity", Json::Int(s.cache_capacity as i64)),
+        ("gc_runs", Json::Int(s.gc_runs as i64)),
+        ("gc_reclaimed", Json::Int(s.gc_reclaimed as i64)),
         (
             "truncated",
-            Value::Str(r.truncated.map_or("none".into(), |t| t.to_string())),
+            Json::Str(r.truncated.map_or("none".into(), |t| t.to_string())),
         ),
         (
             "degraded",
-            Value::Str(r.degraded.map_or("none".into(), |d| format!("{d:?}"))),
+            Json::Str(r.degraded.map_or("none".into(), |d| format!("{d:?}"))),
         ),
     ]);
-    if let Value::Object(fields) = &mut record {
+    if let Json::Obj(fields) = &mut record {
         for (name, op) in s.per_op() {
-            fields.push((format!("op_{name}_hits"), Value::UInt(op.hits)));
-            fields.push((format!("op_{name}_misses"), Value::UInt(op.misses)));
+            fields.push((format!("op_{name}_hits"), Json::Int(op.hits as i64)));
+            fields.push((format!("op_{name}_misses"), Json::Int(op.misses as i64)));
         }
     }
     record
 }
 
 /// The ZDD runs carry no BDD-manager statistics.
-fn zdd_record(experiment: &str, net: &str, r: &ZddAnalysisReport) -> Value {
-    Value::object(vec![
-        ("experiment", Value::Str(experiment.into())),
-        ("net", Value::Str(net.into())),
-        ("scheme", Value::Str("zdd-sparse".into())),
-        ("strategy", Value::Str(r.strategy.to_string())),
-        ("variables", Value::UInt(r.num_variables as u64)),
-        ("markings", Value::Float(r.num_markings)),
-        ("zdd_nodes", Value::UInt(r.zdd_nodes as u64)),
-        ("iterations", Value::UInt(r.iterations as u64)),
-        ("total_ms", Value::Float(r.total_time.as_secs_f64() * 1e3)),
+fn zdd_record(experiment: &str, net: &str, r: &ZddAnalysisReport) -> Json {
+    Json::object(vec![
+        ("experiment", Json::Str(experiment.into())),
+        ("net", Json::Str(net.into())),
+        ("scheme", Json::Str("zdd-sparse".into())),
+        ("strategy", Json::Str(r.strategy.to_string())),
+        ("variables", Json::Int(r.num_variables as i64)),
+        ("markings", Json::Float(r.num_markings)),
+        ("zdd_nodes", Json::Int(r.zdd_nodes as i64)),
+        ("iterations", Json::Int(r.iterations as i64)),
+        ("total_ms", Json::Float(r.total_time.as_secs_f64() * 1e3)),
         (
             "truncated",
-            Value::Str(r.truncated.map_or("none".into(), |t| t.to_string())),
+            Json::Str(r.truncated.map_or("none".into(), |t| t.to_string())),
         ),
     ])
 }
@@ -423,12 +423,7 @@ fn fmt_report(name: &str, r: &AnalysisReport) -> String {
 
 /// Table 3: sparse (one variable per place) vs dense (improved SMC)
 /// encoding on the Muller pipeline, dining philosophers and slotted ring.
-fn table3(
-    scale: Scale,
-    strategy: FixpointStrategy,
-    budgets: BudgetFlags,
-    records: &mut Vec<Value>,
-) {
+fn table3(scale: Scale, strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Json>) {
     println!("\n== Table 3: sparse vs dense encoding ({strategy}) =================");
     println!(
         "{:<12} {:>12} | {:>5} {:>9} {:>9} | {:>5} {:>9} {:>9}",
@@ -484,12 +479,7 @@ fn table3(
 
 /// Table 4: the ZDD-based sparse representation (Yoneda et al.) vs the dense
 /// BDD encoding on the DME and JJreg-style nets.
-fn table4(
-    scale: Scale,
-    strategy: FixpointStrategy,
-    budgets: BudgetFlags,
-    records: &mut Vec<Value>,
-) {
+fn table4(scale: Scale, strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Json>) {
     println!("\n== Table 4: ZDD compaction vs dense encoding ({strategy}) =========");
     println!(
         "{:<12} {:>12} | {:>5} {:>9} {:>9} | {:>5} {:>9} {:>9}",
@@ -664,7 +654,7 @@ fn table1() {
 /// smallest table-3 nets, cross-checked against explicit exploration, so a
 /// kernel regression (wrong counts or a pathological slowdown) surfaces
 /// without a full criterion sweep.
-fn smoke(strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Value>) {
+fn smoke(strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Json>) {
     println!("\n== Smoke: kernel sanity on the two smallest nets ({strategy}) =====");
     let mut workloads = table3_workloads(Scale::Default);
     workloads.sort_by_key(|w| w.net.num_places());
@@ -729,7 +719,7 @@ fn smoke(strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Val
 /// fixpoint); what differs is the number of iterations/sweeps, the peak
 /// node pressure, and the traversal time. The printed speedup is
 /// bfs/saturation.
-fn strategies(scale: Scale, records: &mut Vec<Value>) {
+fn strategies(scale: Scale, records: &mut Vec<Json>) {
     const SAMPLES: usize = 9;
     println!("\n== Strategies: Bfs vs Saturation (dense encoding, median of {SAMPLES}) ====");
     println!(
@@ -796,9 +786,9 @@ fn strategies(scale: Scale, records: &mut Vec<Value>) {
         );
         for (report, median_ms) in &rows {
             let mut record = bdd_record("strategies", &name, "improved-dense", report);
-            if let Value::Object(fields) = &mut record {
-                fields.push(("median_traversal_ms".to_string(), Value::Float(*median_ms)));
-                fields.push(("samples".to_string(), Value::UInt(SAMPLES as u64)));
+            if let Json::Obj(fields) = &mut record {
+                fields.push(("median_traversal_ms".to_string(), Json::Float(*median_ms)));
+                fields.push(("samples".to_string(), Json::Int(SAMPLES as i64)));
             }
             records.push(record);
         }
@@ -825,7 +815,7 @@ fn run_property_suite(
     queries: &[PropertySpec],
     strategy: FixpointStrategy,
     budgets: BudgetFlags,
-    records: &mut Vec<Value>,
+    records: &mut Vec<Json>,
 ) -> bool {
     println!(
         "\n-- {} ({} queries, {strategy})",
@@ -882,25 +872,25 @@ fn run_property_suite(
             query.formula,
             marker
         );
-        records.push(Value::object(vec![
-            ("experiment", Value::Str("properties".into())),
-            ("net", Value::Str(net.name().into())),
-            ("property", Value::Str(query.name.clone())),
-            ("formula", Value::Str(query.formula.clone())),
-            ("strategy", Value::Str(strategy.to_string())),
-            ("holds", Value::Str(verdict.into())),
-            ("expected", Value::Str(expect.into())),
-            ("sat_markings", Value::Float(report.sat_markings)),
-            ("reached_markings", Value::Float(report.reached_markings)),
+        records.push(Json::object(vec![
+            ("experiment", Json::Str("properties".into())),
+            ("net", Json::Str(net.name().into())),
+            ("property", Json::Str(query.name.clone())),
+            ("formula", Json::Str(query.formula.clone())),
+            ("strategy", Json::Str(strategy.to_string())),
+            ("holds", Json::Str(verdict.into())),
+            ("expected", Json::Str(expect.into())),
+            ("sat_markings", Json::Float(report.sat_markings)),
+            ("reached_markings", Json::Float(report.reached_markings)),
             (
                 "truncated",
-                Value::Str(report.truncated.map_or("none".into(), |t| t.to_string())),
+                Json::Str(report.truncated.map_or("none".into(), |t| t.to_string())),
             ),
             (
                 "witness_len",
-                Value::Int(report.trace.as_ref().map_or(-1, |t| t.len() as i64)),
+                Json::Int(report.trace.as_ref().map_or(-1, |t| t.len() as i64)),
             ),
-            ("check_ms", Value::Float(ms)),
+            ("check_ms", Json::Float(ms)),
         ]));
     }
     all_met
@@ -908,7 +898,7 @@ fn run_property_suite(
 
 /// The bundled per-net CTL property suites (mutual exclusion, liveness,
 /// deadlock, ordering) on a representative instance of every family.
-fn properties(strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Value>) {
+fn properties(strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Json>) {
     println!("\n== Properties: bundled CTL suites ({strategy}) ====================");
     let nets = [
         figure1(),
@@ -981,7 +971,7 @@ fn parse_props_file(text: &str) -> Result<Vec<(PetriNet, Vec<PropertySpec>)>, St
 
 /// `experiments check <file>`: run every suite of a property file and exit
 /// non-zero when a recorded expectation is violated.
-fn check(path: &str, strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Value>) {
+fn check(path: &str, strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Json>) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("check: cannot read {path}: {e}");
         std::process::exit(2);

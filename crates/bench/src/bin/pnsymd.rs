@@ -20,8 +20,8 @@
 //! so a slow server accumulates queueing delay in the measured latency
 //! instead of silently throttling the offered load.
 
-use pnsym_bench::json::Value;
 use pnsym_bench::net_by_spec;
+use pnsym_core::json::Json;
 use pnsym_core::server::{
     serve, Client, NetResolver, PoolOutcome, Request, Response, ServerConfig, ServerHandle,
 };
@@ -385,7 +385,7 @@ fn cmd_load(args: &[String]) -> ExitCode {
 
     // Report.
     let mut total_errors = 0u64;
-    let mut table: Vec<(String, Value)> = Vec::new();
+    let mut table: Vec<(String, Json)> = Vec::new();
     for (spec, family) in &mut stats {
         family
             .latencies_ms
@@ -400,22 +400,22 @@ fn cmd_load(args: &[String]) -> ExitCode {
         };
         table.push((
             spec.clone(),
-            Value::object(vec![
-                ("requests", Value::UInt(n as u64)),
-                ("qps", Value::Float(qps)),
+            Json::object(vec![
+                ("requests", Json::Int(n as i64)),
+                ("qps", Json::Float(qps)),
                 (
                     "p50_ms",
-                    Value::Float(percentile(&family.latencies_ms, 0.50)),
+                    Json::Float(percentile(&family.latencies_ms, 0.50)),
                 ),
                 (
                     "p99_ms",
-                    Value::Float(percentile(&family.latencies_ms, 0.99)),
+                    Json::Float(percentile(&family.latencies_ms, 0.99)),
                 ),
-                ("cold_ms", Value::Float(family.cold_ms)),
-                ("warm_ms", Value::Float(family.warm_ms)),
-                ("warm_speedup", Value::Float(speedup)),
-                ("cold_pool", Value::Str(family.cold_pool.to_string())),
-                ("errors", Value::UInt(family.errors)),
+                ("cold_ms", Json::Float(family.cold_ms)),
+                ("warm_ms", Json::Float(family.warm_ms)),
+                ("warm_speedup", Json::Float(speedup)),
+                ("cold_pool", Json::Str(family.cold_pool.to_string())),
+                ("errors", Json::Int(family.errors as i64)),
             ]),
         ));
         println!(
@@ -439,49 +439,49 @@ fn cmd_load(args: &[String]) -> ExitCode {
     );
 
     if let Some(path) = &json_out {
-        let doc = Value::Object(vec![
+        let doc = Json::Obj(vec![
             (
                 "schema".to_string(),
-                Value::Str("pnsym-bench-snapshot-v1".to_string()),
+                Json::Str("pnsym-bench-snapshot-v1".to_string()),
             ),
-            ("pr".to_string(), Value::UInt(10)),
+            ("pr".to_string(), Json::Int(10)),
             (
                 "description".to_string(),
-                Value::Str(
+                Json::Str(
                     "pnsymd serving benchmark: open-loop portfolio load against the warm-context daemon"
                         .to_string(),
                 ),
             ),
             (
                 "serving".to_string(),
-                Value::Object(table.iter().map(|(k, v)| (k.clone(), v.clone())).collect()),
+                Json::Obj(table.iter().map(|(k, v)| (k.clone(), v.clone())).collect()),
             ),
             (
                 "pool".to_string(),
                 match pool_counters {
                     Some([contexts, hits, misses, evictions, spills, restores, queries]) => {
-                        Value::object(vec![
-                            ("contexts", Value::UInt(contexts)),
-                            ("hits", Value::UInt(hits)),
-                            ("misses", Value::UInt(misses)),
-                            ("evictions", Value::UInt(evictions)),
-                            ("spills", Value::UInt(spills)),
-                            ("restores", Value::UInt(restores)),
-                            ("queries", Value::UInt(queries)),
+                        Json::object(vec![
+                            ("contexts", Json::Int(contexts as i64)),
+                            ("hits", Json::Int(hits as i64)),
+                            ("misses", Json::Int(misses as i64)),
+                            ("evictions", Json::Int(evictions as i64)),
+                            ("spills", Json::Int(spills as i64)),
+                            ("restores", Json::Int(restores as i64)),
+                            ("queries", Json::Int(queries as i64)),
                         ])
                     }
-                    None => Value::Object(Vec::new()),
+                    None => Json::Obj(Vec::new()),
                 },
             ),
         ]);
         match path {
             Some(path) => {
-                if let Err(err) = std::fs::write(path, doc.to_json() + "\n") {
+                if let Err(err) = std::fs::write(path, format!("{doc}\n")) {
                     eprintln!("pnsymd load: cannot write {path}: {err}");
                     return ExitCode::FAILURE;
                 }
             }
-            None => println!("{}", doc.to_json()),
+            None => println!("{doc}"),
         }
     }
 

@@ -17,8 +17,6 @@ use pnsym_net::nets::{
 };
 use pnsym_net::PetriNet;
 
-pub mod json;
-
 /// Which instance sizes to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {

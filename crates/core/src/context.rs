@@ -5,7 +5,6 @@
 use crate::encoding::{Block, Encoding};
 use crate::image::TransitionEffect;
 use crate::plan::ImagePlan;
-use crate::preplan::PreImagePlan;
 use pnsym_bdd::{BddManager, ManagerStats, Ref, VarId};
 use pnsym_net::{Marking, PetriNet, PlaceId, TransitionId};
 use std::rc::Rc;
@@ -39,10 +38,9 @@ pub struct SymbolicContext {
     initial: Ref,
     /// Memoized constant effects (eq. 6), one per transition.
     effects: Vec<TransitionEffect>,
-    /// The precomputed image plan, built lazily on first image computation.
+    /// The precomputed image plan, built lazily on first image or
+    /// pre-image computation.
     plan: Option<Rc<ImagePlan>>,
-    /// The precomputed pre-image plan, built lazily on first backward step.
-    pre_plan: Option<Rc<PreImagePlan>>,
 }
 
 impl std::fmt::Debug for SymbolicContext {
@@ -124,7 +122,6 @@ impl SymbolicContext {
             initial,
             effects,
             plan: None,
-            pre_plan: None,
         }
     }
 
@@ -147,19 +144,12 @@ impl SymbolicContext {
         Rc::clone(self.plan.as_ref().expect("plan just built"))
     }
 
-    /// The precomputed [`PreImagePlan`] of this context, built on first use
-    /// (typically by a CTL fixpoint or a witness reconstruction).
-    ///
-    /// Like the forward [`ImagePlan`], the plan's BDDs are protected in the
-    /// manager, so the plan stays valid across garbage collection and
-    /// reordering for the context's lifetime. The returned handle is cheap
-    /// to clone and does not borrow the context.
-    pub fn pre_image_plan(&mut self) -> Rc<PreImagePlan> {
-        if self.pre_plan.is_none() {
-            let plan = PreImagePlan::build(self);
-            self.pre_plan = Some(Rc::new(plan));
-        }
-        Rc::clone(self.pre_plan.as_ref().expect("pre-plan just built"))
+    /// The plan of the backward image: the same [`Rc`] as
+    /// [`SymbolicContext::image_plan`], whose enabling functions, target
+    /// cubes and quantification cubes the pre-image composes in the
+    /// opposite order. Kept for source compatibility.
+    pub fn pre_image_plan(&mut self) -> Rc<ImagePlan> {
+        self.image_plan()
     }
 
     /// The analysed net.

@@ -16,9 +16,10 @@
 //!   characteristic functions of places (eq. 4), enabling functions
 //!   (eq. 5), per-transition constant effects (eq. 6), image computation and
 //!   explicit transition relations.
-//! * [`ImagePlan`] — the per-context precomputed image artefacts (enabling
-//!   functions, quantification and target cubes), clustered by written
-//!   variable set and protected across garbage collection.
+//! * [`ImagePlan`] — the per-context precomputed artefacts of the image
+//!   and the pre-image (enabling functions, quantification and target
+//!   cubes), clustered by written variable set and protected across
+//!   garbage collection.
 //! * The pluggable fixpoint engine ([`FixpointStrategy`],
 //!   [`TraversalOptions`], [`ReachabilityResult`]): one generic driver
 //!   shared by the BDD and ZDD backends, with breadth-first and
@@ -27,8 +28,8 @@
 //!   tables.
 //! * The CTL model checker: the [`Property`] language (combinators and a
 //!   textual syntax via [`Property::parse`]), the full operator set
-//!   (`EX EF EG AX AF AG EU AU`) as backward fixpoints over a precomputed
-//!   [`PreImagePlan`], witness/counterexample extraction
+//!   (`EX EF EG AX AF AG EU AU`) as backward fixpoints over the same
+//!   [`ImagePlan`], witness/counterexample extraction
 //!   ([`SymbolicContext::check_property`], [`WitnessTrace`]) and the
 //!   explicit-state oracle ([`ExplicitChecker`]).
 //! * [`toggling`] — toggling-activity metrics (Figure 2, Section 5.2).
@@ -57,9 +58,9 @@ mod context;
 pub mod encoding;
 mod explicit;
 mod image;
+pub mod json;
 mod mc;
 pub mod plan;
-pub mod preplan;
 mod property;
 pub mod server;
 pub mod toggling;
@@ -77,7 +78,6 @@ pub use explicit::ExplicitChecker;
 pub use image::TransitionEffect;
 pub use mc::{CheckReport, PortfolioReport, TraceKind};
 pub use plan::{ImageCluster, ImagePlan, PlannedTransition};
-pub use preplan::{PreImageCluster, PreImagePlan, PrePlannedTransition};
 pub use property::{Property, PropertyParseError};
 pub use toggling::{toggling_activity, toggling_of_state_codes, TogglingReport};
 pub use trace::WitnessTrace;

@@ -1,7 +1,7 @@
 //! Symbolic CTL model checking on top of the encodings (Section 5 of the
 //! paper): pre-image computation through the precomputed
-//! [`PreImagePlan`](crate::preplan::PreImagePlan), the full set of CTL
-//! fixpoint operators (`EX EF EG AX AF AG EU AU`), and the
+//! [`ImagePlan`](crate::plan::ImagePlan) the forward image uses, the full
+//! set of CTL fixpoint operators (`EX EF EG AX AF AG EU AU`), and the
 //! [`SymbolicContext::check_property`] entry point producing a verdict plus
 //! a concrete witness or counterexample firing sequence.
 //!
@@ -93,9 +93,10 @@ pub struct PortfolioReport {
     pub subterm_lookups: u64,
 }
 
-/// The shared-subterm cache of one portfolio pass: satisfaction sets keyed
-/// by the (hashable) property subterm, valid for a single `within` set.
-/// Every cached set is protected until the pass drains the cache.
+/// The subterm cache of one evaluation pass (a portfolio, or one
+/// [`SymbolicContext::sat_set`] call): satisfaction sets keyed by the
+/// (hashable) property subterm, valid for a single `within` set. Every
+/// cached set is protected until the pass drains the cache.
 #[derive(Default)]
 struct SubtermCache {
     map: HashMap<Property, Ref>,
@@ -116,37 +117,12 @@ impl SymbolicContext {
     /// over the reachable state space, i.e. this is
     /// [`SymbolicContext::sat_set`] with the reached set as the model.
     pub fn property_set(&mut self, property: &Property) -> Ref {
-        if property.is_boolean() {
-            return self.boolean_set(property);
-        }
-        let reached = self.reachable_markings().reached;
-        self.sat_set(property, reached)
-    }
-
-    /// Translates a boolean (non-temporal) formula over the whole encoded
-    /// space. Temporal subformulas panic; callers dispatch on
-    /// [`Property::is_boolean`] first.
-    fn boolean_set(&mut self, property: &Property) -> Ref {
-        match property {
-            Property::Place(p) => self.place_fn(*p),
-            Property::True => self.manager().one(),
-            Property::False => self.manager().zero(),
-            Property::Not(a) => {
-                let fa = self.boolean_set(a);
-                self.manager_mut().not(fa)
-            }
-            Property::And(a, b) => {
-                let fa = self.boolean_set(a);
-                let fb = self.boolean_set(b);
-                self.manager_mut().and(fa, fb)
-            }
-            Property::Or(a, b) => {
-                let fa = self.boolean_set(a);
-                let fb = self.boolean_set(b);
-                self.manager_mut().or(fa, fb)
-            }
-            _ => unreachable!("boolean_set is only called on boolean formulas"),
-        }
+        let within = if property.is_boolean() {
+            self.manager().one()
+        } else {
+            self.reachable_markings().reached
+        };
+        self.sat_set(property, within)
     }
 
     /// The set of markings of `within` satisfying the CTL formula
@@ -158,73 +134,20 @@ impl SymbolicContext {
     /// successors for the universal operators to be meaningful (the
     /// reached set is). The result is always a subset of `within`.
     pub fn sat_set(&mut self, property: &Property, within: Ref) -> Ref {
-        match property {
-            Property::Place(p) => {
-                let chi = self.place_fn(*p);
-                self.manager_mut().and(chi, within)
-            }
-            Property::True => within,
-            Property::False => self.manager().zero(),
-            Property::Not(a) => {
-                let fa = self.sat_set(a, within);
-                self.manager_mut().diff(within, fa)
-            }
-            Property::And(a, b) => {
-                let fa = self.sat_set(a, within);
-                let fb = self.sat_set(b, within);
-                self.manager_mut().and(fa, fb)
-            }
-            Property::Or(a, b) => {
-                let fa = self.sat_set(a, within);
-                let fb = self.sat_set(b, within);
-                self.manager_mut().or(fa, fb)
-            }
-            Property::Ex(a) => {
-                let fa = self.sat_set(a, within);
-                self.ex(fa, within)
-            }
-            Property::Ef(a) => {
-                let fa = self.sat_set(a, within);
-                self.ef(fa, within)
-            }
-            Property::Eg(a) => {
-                let fa = self.sat_set(a, within);
-                self.eg(fa, within)
-            }
-            Property::Ax(a) => {
-                let fa = self.sat_set(a, within);
-                self.ax(fa, within)
-            }
-            Property::Af(a) => {
-                let fa = self.sat_set(a, within);
-                self.af(fa, within)
-            }
-            Property::Ag(a) => {
-                let fa = self.sat_set(a, within);
-                self.ag(fa, within)
-            }
-            Property::Eu(a, b) => {
-                let fa = self.sat_set(a, within);
-                let fb = self.sat_set(b, within);
-                self.eu(fa, fb, within)
-            }
-            Property::Au(a, b) => {
-                let fa = self.sat_set(a, within);
-                let fb = self.sat_set(b, within);
-                self.au(fa, fb, within)
-            }
-        }
+        let mut cache = SubtermCache::default();
+        let sat = self.sat_set_memo(property, within, &mut cache);
+        self.drain(cache);
+        sat.expect(GOVERNED_CTL)
     }
 
     /// The pre-image of `target` under transition `t`: the markings that
     /// enable `t` and reach a marking of `target` by firing it.
     ///
-    /// Uses the precomputed
-    /// [`PreImagePlan`](crate::preplan::PreImagePlan): the enabling
-    /// function, target cube and quantification cube of `t` are built once
-    /// per context, not per call.
+    /// Uses the precomputed [`ImagePlan`](crate::plan::ImagePlan): the
+    /// enabling function, target cube and quantification cube of `t` are
+    /// built once per context, not per call.
     pub fn pre_image(&mut self, target: Ref, t: TransitionId) -> Ref {
-        let plan = self.pre_image_plan();
+        let plan = self.image_plan();
         let (cluster, planned) = plan.planned(t);
         let m = self.manager_mut();
         // target[W_t := T_t] = ∃W_t. (target ∧ T_t)
@@ -235,34 +158,13 @@ impl SymbolicContext {
         m.and(planned.enabling, substituted)
     }
 
-    /// The pre-image of `target` under every transition of one pre-plan
-    /// cluster: the shared quantification cube is walked once per member
-    /// and the members' partial pre-images are OR-folded.
-    pub fn cluster_pre_image(&mut self, cluster: usize, target: Ref) -> Ref {
-        self.try_cluster_pre_image(cluster, target)
-            .expect("budget breached inside an infallible pre-image; governed callers must use try_cluster_pre_image")
-    }
-
-    /// Governed [`SymbolicContext::cluster_pre_image`]: unwinds with a
-    /// typed [`Interrupt`] when the installed budget trips.
-    pub fn try_cluster_pre_image(&mut self, cluster: usize, target: Ref) -> Result<Ref, Interrupt> {
-        let plan = self.pre_image_plan();
-        let c = &plan.clusters()[cluster];
-        let mut acc = self.manager().zero();
-        for member in &c.members {
-            let m = self.manager_mut();
-            let substituted = m.try_and_exists_cube(target, member.target, c.quant_cube)?;
-            if substituted == m.zero() {
-                continue;
-            }
-            let pre = m.try_and(member.enabling, substituted)?;
-            acc = m.try_or(acc, pre)?;
-        }
-        Ok(acc)
-    }
-
     /// The pre-image of `target` under all transitions (one backward step),
-    /// folded cluster by cluster in the plan's backward order.
+    /// folded cluster by cluster against the flow: the plan's structural
+    /// order with its ranks reversed, clusters of equal rank in ascending
+    /// order (reversing those too builds larger intermediate sets, and the
+    /// slot-12 CTL suite runs markedly slower). Within a cluster the
+    /// shared quantification cube is walked once per member and the
+    /// members' pre-images are OR-folded.
     pub fn pre_image_all(&mut self, target: Ref) -> Ref {
         self.try_pre_image_all(target)
             .expect("budget breached inside an infallible pre-image; governed callers must use try_pre_image_all")
@@ -271,11 +173,28 @@ impl SymbolicContext {
     /// Governed [`SymbolicContext::pre_image_all`]: unwinds with a typed
     /// [`Interrupt`] when the installed budget trips.
     pub fn try_pre_image_all(&mut self, target: Ref) -> Result<Ref, Interrupt> {
-        let plan = self.pre_image_plan();
-        let mut acc = self.manager().zero();
-        for &cluster in plan.backward_order() {
-            let pre = self.try_cluster_pre_image(cluster, target)?;
-            acc = self.manager_mut().try_or(acc, pre)?;
+        let plan = self.image_plan();
+        let clusters = plan.clusters();
+        let backward = plan
+            .structural_order()
+            .chunk_by(|&a, &b| clusters[a].rank == clusters[b].rank)
+            .rev()
+            .flatten();
+        let m = self.manager_mut();
+        let mut acc = m.zero();
+        for &c in backward {
+            let cluster = &clusters[c];
+            let mut part = m.zero();
+            for member in &cluster.members {
+                let substituted =
+                    m.try_and_exists_cube(target, member.target, cluster.quant_cube)?;
+                if substituted == m.zero() {
+                    continue;
+                }
+                let pre = m.try_and(member.enabling, substituted)?;
+                part = m.try_or(part, pre)?;
+            }
+            acc = m.try_or(acc, part)?;
         }
         Ok(acc)
     }
@@ -476,35 +395,21 @@ impl SymbolicContext {
         self.check_property_with(property, TraversalOptions::default())
     }
 
-    /// [`SymbolicContext::check_property`] with explicit traversal options
-    /// for the underlying reachability fixpoint (strategy, GC threshold,
-    /// budgets).
+    /// [`SymbolicContext::check_property`] with explicit traversal options:
+    /// the strategy and GC threshold of the reachability fixpoint, and a
+    /// budget that governs the traversal and, re-armed, the CTL evaluation
+    /// (see [`SymbolicContext::check_portfolio_on`]). The report's
+    /// `duration` includes the traversal.
     pub fn check_property_with(
         &mut self,
         property: &Property,
         options: TraversalOptions,
     ) -> CheckReport {
         let start = Instant::now();
-        let run = self.reachable_markings_with(options);
-        let reached = run.reached;
-        let sat = self.sat_set(property, reached);
-        let init = self.initial_set();
-        let init_sat = self.manager_mut().and(init, sat);
-        let holds = init_sat != self.manager().zero();
-        let explained = self.explain(property, holds, sat, reached);
-        let (trace, trace_kind) = match explained {
-            Some((trace, kind)) => (Some(trace), Some(kind)),
-            None => (None, None),
-        };
-        CheckReport {
-            holds,
-            sat_markings: self.count_markings(sat),
-            reached_markings: self.count_markings(reached),
-            trace,
-            trace_kind,
-            truncated: run.truncated,
-            duration: start.elapsed(),
-        }
+        let mut portfolio = self.check_portfolio_with(std::slice::from_ref(property), options);
+        let mut report = portfolio.reports.pop().expect("one report per property");
+        report.duration = start.elapsed();
+        report
     }
 
     /// Checks a *portfolio* of properties against one reached set in a
@@ -596,7 +501,7 @@ impl SymbolicContext {
                     // budget (keeping its sticky state and absolute
                     // deadline) so a late breach cannot panic mid-walk.
                     let budget = self.manager_mut().take_budget();
-                    let explained = self.explain(property, holds, sat, reached);
+                    let explained = self.explain(property, holds, sat, reached, &cache);
                     if let Some(budget) = budget {
                         self.manager_mut().install_budget(budget);
                     }
@@ -626,20 +531,26 @@ impl SymbolicContext {
             };
             reports.push(report);
         }
-        for (_, set) in cache.map.drain() {
-            self.manager_mut().unprotect(set);
-        }
         let _ = self.manager_mut().take_budget();
+        let (subterm_hits, subterm_lookups) = (cache.hits, cache.lookups);
+        self.drain(cache);
         PortfolioReport {
             reports,
-            subterm_hits: cache.hits,
-            subterm_lookups: cache.lookups,
+            subterm_hits,
+            subterm_lookups,
         }
     }
 
-    /// Memoized, governed [`SymbolicContext::sat_set`]: the satisfaction
-    /// set of every subterm is cached (and protected) in `cache` for the
-    /// duration of one portfolio pass.
+    /// Releases the protections of every set cached in `cache`.
+    fn drain(&mut self, cache: SubtermCache) {
+        for set in cache.map.into_values() {
+            self.manager_mut().unprotect(set);
+        }
+    }
+
+    /// The one recursion over [`Property`]: governed bottom-up evaluation
+    /// in which the satisfaction set of every subterm is cached (and
+    /// protected) in `cache` for the duration of one pass.
     fn sat_set_memo(
         &mut self,
         property: &Property,
@@ -715,41 +626,36 @@ impl SymbolicContext {
     /// Extracts the trace of a [`CheckReport`], dispatching on the
     /// top-level operator and the verdict. `sat` is the already-computed
     /// satisfaction set of `property`, reused where the trace needs exactly
-    /// that fixpoint (the `EG` core, or its complement for failed `AF`).
+    /// that fixpoint (the `EG` core, or its complement for failed `AF`);
+    /// the sets of its operands are read from the pass's `cache`, which
+    /// holds every subterm of an evaluated formula.
     fn explain(
         &mut self,
         property: &Property,
         holds: bool,
         sat: Ref,
         reached: Ref,
+        cache: &SubtermCache,
     ) -> Option<(WitnessTrace, TraceKind)> {
         let zero = self.manager().zero();
+        // Read through the map so the hit/lookup counters stay untouched.
+        let set = |p: &Property| cache.map[p];
         match (holds, property) {
-            (true, Property::Ef(a)) => {
-                let target = self.sat_set(a, reached);
-                Some((self.witness_trace(target)?, TraceKind::Witness))
-            }
+            (true, Property::Ef(a)) => Some((self.witness_trace(set(a))?, TraceKind::Witness)),
             (true, Property::Eu(a, b)) => {
-                let hold = self.sat_set(a, reached);
-                let until = self.sat_set(b, reached);
-                Some((self.witness_trace_in(until, hold)?, TraceKind::Witness))
+                Some((self.witness_trace_in(set(b), set(a))?, TraceKind::Witness))
             }
-            (true, Property::Ex(a)) => {
-                let fa = self.sat_set(a, reached);
-                Some((self.one_step_trace(fa)?, TraceKind::Witness))
-            }
+            (true, Property::Ex(a)) => Some((self.one_step_trace(set(a))?, TraceKind::Witness)),
             (true, Property::Eg(_)) => {
                 // `sat` is the EG core itself.
                 Some((self.lasso_from_initial(sat)?, TraceKind::Witness))
             }
             (false, Property::Ag(a)) => {
-                let fa = self.sat_set(a, reached);
-                let bad = self.manager_mut().diff(reached, fa);
+                let bad = self.manager_mut().diff(reached, set(a));
                 Some((self.witness_trace(bad)?, TraceKind::Counterexample))
             }
             (false, Property::Ax(a)) => {
-                let fa = self.sat_set(a, reached);
-                let not_fa = self.manager_mut().diff(reached, fa);
+                let not_fa = self.manager_mut().diff(reached, set(a));
                 Some((self.one_step_trace(not_fa)?, TraceKind::Counterexample))
             }
             (false, Property::Af(_)) => {
@@ -762,10 +668,8 @@ impl SymbolicContext {
                 // ¬A[a U b] = E[¬b U ¬a∧¬b] ∨ EG ¬b: prefer the finite
                 // branch (a ¬b-path into a state violating both), fall back
                 // to a ¬b-lasso.
-                let fa = self.sat_set(a, reached);
-                let fb = self.sat_set(b, reached);
-                let not_b = self.manager_mut().diff(reached, fb);
-                let not_ab = self.manager_mut().diff(not_b, fa);
+                let not_b = self.manager_mut().diff(reached, set(b));
+                let not_ab = self.manager_mut().diff(not_b, set(a));
                 let finite = self.eu(not_b, not_ab, reached);
                 let init = self.initial_set();
                 let init_in_finite = self.manager_mut().and(init, finite);
@@ -835,14 +739,6 @@ mod tests {
                 acc = ctx.manager_mut().or(acc, pre);
             }
             assert_eq!(full, acc);
-            // Cluster pre-images union to the same set.
-            let plan = ctx.pre_image_plan();
-            let mut by_cluster = ctx.manager().zero();
-            for c in 0..plan.num_clusters() {
-                let pre = ctx.cluster_pre_image(c, reached);
-                by_cluster = ctx.manager_mut().or(by_cluster, pre);
-            }
-            assert_eq!(full, by_cluster);
         }
     }
 
@@ -1061,8 +957,8 @@ mod tests {
         // or lasso walk).
         let net = philosophers(2);
         let mut ctx = dense_ctx(&net);
-        // Warm the image and pre-image plans so their one-time artefact
-        // protections do not show up in the per-query delta.
+        // Warm the image plan so its one-time artefact protections do not
+        // show up in the per-query delta.
         let _ = ctx.check_property(&Property::parse("EF true", &net).unwrap());
         for text in [
             "EF !EX true",             // ring-search witness
@@ -1119,6 +1015,33 @@ mod tests {
         assert!(
             capped.reached_markings < full.reached_markings,
             "the capped run really did truncate the state space"
+        );
+    }
+
+    #[test]
+    fn a_budget_governs_ctl_evaluation_as_well_as_the_traversal() {
+        // phil-4's traversal takes about 2,200 governed steps and the
+        // `AG EF` fixpoint over its reached set about 27,000, so a
+        // 5,000-step budget admits the first and trips inside the second.
+        let net = philosophers(4);
+        let prop = Property::parse("AG EF eating.0", &net).unwrap();
+        let options = TraversalOptions {
+            step_budget: Some(5_000),
+            ..TraversalOptions::default()
+        };
+        let run = dense_ctx(&net).reachable_markings_with(options);
+        assert!(run.truncated.is_none(), "the traversal fits the budget");
+
+        let mut ctx = dense_ctx(&net);
+        let governed = ctx.check_property_with(&prop, options);
+        assert_eq!(governed.truncated, Some(TruncationReason::StepBudget));
+        assert!(governed.trace.is_none());
+        // The budget is disarmed on return.
+        let full = ctx.check_property(&prop);
+        assert!(full.truncated.is_none());
+        assert!(
+            !full.holds,
+            "the reachable deadlock never lets eating.0 recur"
         );
     }
 

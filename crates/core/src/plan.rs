@@ -10,13 +10,16 @@
 //! the quantification cube and the target cube per transition, protects
 //! them across garbage collection, and groups transitions whose written
 //! sets coincide into [`ImageCluster`]s so the shared quantification cube
-//! is built (and its variables quantified) once per cluster.
+//! is built (and its variables quantified) once per cluster. The pre-image
+//! composes the same three artefacts in the opposite order,
+//! `E_t ∧ ∃W_t. (S ∧ T_t)`, so the CTL checker reads this plan too.
 //!
 //! The plan also carries the *structural order*: a transition ordering
 //! derived from the net structure (breadth-first distance of each
 //! transition's pre-set from the initially marked places) that approximates
 //! the firing order. The saturation strategy fires the clusters of each
-//! level in this order, so a level's inner fixpoint follows the net's flow.
+//! level in this order, so a level's inner fixpoint follows the net's flow;
+//! a backward step visits the ranks in reverse.
 
 use crate::context::SymbolicContext;
 use pnsym_bdd::{Ref, VarId};
@@ -298,6 +301,7 @@ mod tests {
     use crate::encoding::{AssignmentStrategy, Encoding};
     use pnsym_net::nets::{figure1, muller, philosophers, slotted_ring};
     use pnsym_structural::find_smcs;
+    use std::rc::Rc;
 
     #[test]
     fn every_transition_is_planned_exactly_once() {
@@ -317,6 +321,58 @@ mod tests {
                 assert_eq!(planned.enabling, ctx.enabling_fn(t));
             }
             assert_eq!(plan.structural_order().len(), plan.num_clusters());
+        }
+    }
+
+    #[test]
+    fn the_backward_plan_is_the_forward_plan() {
+        let net = figure1();
+        let smcs = find_smcs(&net).unwrap();
+        let mut ctx = SymbolicContext::new(
+            &net,
+            Encoding::improved(&net, &smcs, AssignmentStrategy::Gray),
+        );
+        let forward = ctx.image_plan();
+        let roots = ctx.manager().protected_root_count();
+        let backward = ctx.pre_image_plan();
+        assert!(Rc::ptr_eq(&forward, &backward));
+        assert_eq!(
+            ctx.manager().protected_root_count(),
+            roots,
+            "the pre-image plan must not build or protect anything"
+        );
+    }
+
+    #[test]
+    fn plan_survives_garbage_collection() {
+        let net = philosophers(2);
+        let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
+        let plan = ctx.image_plan();
+        ctx.manager_mut().collect_garbage();
+        // Every planned artefact must survive a GC with no other roots:
+        // rebuilding it finds the very same nodes, so no node is allocated.
+        let live = ctx.manager().live_node_count();
+        for cluster in plan.clusters() {
+            let vars: Vec<VarId> = cluster
+                .var_indices
+                .iter()
+                .map(|&i| ctx.current_vars()[i])
+                .collect();
+            assert_eq!(ctx.manager_mut().var_cube(&vars), cluster.quant_cube);
+            for member in &cluster.members {
+                let lits: Vec<(VarId, bool)> = ctx
+                    .transition_effect(member.transition)
+                    .assignments
+                    .iter()
+                    .map(|&(i, value)| (ctx.current_vars()[i], value))
+                    .collect();
+                assert_eq!(ctx.manager_mut().cube(&lits), member.target);
+            }
+        }
+        assert_eq!(ctx.manager().live_node_count(), live);
+        for t in net.transitions() {
+            let pre: Vec<Ref> = net.pre_set(t).iter().map(|&p| ctx.place_fn(p)).collect();
+            assert_eq!(ctx.manager_mut().and_many(&pre), plan.planned(t).1.enabling);
         }
     }
 

@@ -5,7 +5,7 @@
 //! selection, variable ordering, transition clustering, and above all the
 //! first reachability fixpoint. The daemon therefore keeps the last few
 //! contexts warm: a repeat query for the same net reuses the context's
-//! `ImagePlan`/`PreImagePlan`, its computed caches, *and* the completed
+//! `ImagePlan`, its computed caches, *and* the completed
 //! reached set, skipping the traversal entirely. Eviction is LRU, so a
 //! burst over one family cannot permanently evict another family's warm
 //! state beyond the pool capacity.

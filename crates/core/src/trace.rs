@@ -5,7 +5,7 @@
 //! a witness is then rebuilt backwards, ring by ring, by asking which
 //! transition can step from the previous ring into the current prefix of
 //! the trace (a [`SymbolicContext::pre_image`] query through the
-//! precomputed pre-image plan). The result is a list of
+//! precomputed image plan). The result is a list of
 //! `(transition, marking)` pairs that the token game of `pnsym-net`
 //! re-validates.
 //!
@@ -343,10 +343,9 @@ pub(crate) fn assert_protections_balanced<T>(
     ctx: &mut SymbolicContext,
     operation: impl FnOnce(&mut SymbolicContext) -> T,
 ) -> T {
-    // Warm both lazy plans first: their one-time artefact protections are
+    // Warm the lazy plan first: its one-time artefact protections are
     // permanent by design and must not be charged to `operation`.
     let _ = ctx.image_plan();
-    let _ = ctx.pre_image_plan();
     let before = ctx.manager().protected_root_count();
     let out = operation(ctx);
     assert_eq!(

@@ -9,7 +9,7 @@
 //! the paper).
 
 use pnsym_net::{IncidenceMatrix, Marking, PetriNet, PlaceId};
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A place-indexed weight vector forming a P-invariant.
@@ -152,28 +152,69 @@ fn normalize(row: &mut [i64]) {
 struct Row {
     incidence: Vec<i64>,
     weights: Vec<i64>,
-    support: BTreeSet<u32>,
+    /// The places of positive weight, one bit per place in `u64` words.
+    support: Vec<u64>,
+    /// The number of places in `support`.
+    support_len: u32,
 }
 
 impl Row {
-    fn renormalize(&mut self) {
-        let g = self
-            .incidence
+    /// A row over `incidence` and `weights`, divided by their common gcd,
+    /// with its support.
+    fn new(mut incidence: Vec<i64>, mut weights: Vec<i64>) -> Row {
+        let g = incidence
             .iter()
-            .chain(self.weights.iter())
+            .chain(&weights)
             .fold(0i64, |acc, &x| gcd(acc, x));
         if g > 1 {
-            for x in self.incidence.iter_mut().chain(self.weights.iter_mut()) {
+            for x in incidence.iter_mut().chain(weights.iter_mut()) {
                 *x /= g;
             }
         }
-        self.support = self
-            .weights
+        let mut support = vec![0u64; weights.len().div_ceil(64)];
+        for (i, _) in weights.iter().enumerate().filter(|&(_, &w)| w > 0) {
+            support[i / 64] |= 1 << (i % 64);
+        }
+        let support_len = support.iter().map(|w| w.count_ones()).sum();
+        Row {
+            incidence,
+            weights,
+            support,
+            support_len,
+        }
+    }
+
+    /// Whether this row's support is a subset of `other`'s.
+    fn support_within(&self, other: &Row) -> bool {
+        self.support
             .iter()
-            .enumerate()
-            .filter(|&(_, &w)| w > 0)
-            .map(|(i, _)| i as u32)
-            .collect();
+            .zip(&other.support)
+            .all(|(&a, &b)| a & !b == 0)
+    }
+
+    /// The tableau order: by support size, then by the sorted place
+    /// indices of the support (on equal size, the support holding the
+    /// lowest place of the symmetric difference comes first), then by
+    /// weights.
+    fn tableau_order(&self, other: &Row) -> Ordering {
+        let by_support = || {
+            for (&a, &b) in self.support.iter().zip(&other.support) {
+                let diff = a ^ b;
+                if diff != 0 {
+                    let lowest = diff & diff.wrapping_neg();
+                    return if a & lowest != 0 {
+                        Ordering::Less
+                    } else {
+                        Ordering::Greater
+                    };
+                }
+            }
+            Ordering::Equal
+        };
+        self.support_len
+            .cmp(&other.support_len)
+            .then_with(by_support)
+            .then_with(|| self.weights.cmp(&other.weights))
     }
 }
 
@@ -210,11 +251,7 @@ pub fn minimal_invariants_with(
         .map(|p| {
             let mut weights = vec![0i64; num_places];
             weights[p] = 1;
-            Row {
-                incidence: matrix.row(PlaceId(p as u32)).to_vec(),
-                weights,
-                support: std::iter::once(p as u32).collect(),
-            }
+            Row::new(matrix.row(PlaceId(p as u32)).to_vec(), weights)
         })
         .collect();
 
@@ -250,13 +287,7 @@ pub fn minimal_invariants_with(
                     .collect();
                 normalize(&mut incidence);
                 normalize(&mut weights);
-                let mut row = Row {
-                    incidence,
-                    weights,
-                    support: BTreeSet::new(),
-                };
-                row.renormalize();
-                new_rows.push(row);
+                new_rows.push(Row::new(incidence, weights));
                 if new_rows.len() > options.max_rows {
                     return Err(InvariantError::RowLimit {
                         limit: options.max_rows,
@@ -267,13 +298,13 @@ pub fn minimal_invariants_with(
         // Prune duplicates and rows whose support strictly contains the
         // support of another row (they can never lead to minimal-support
         // invariants that the smaller row does not already lead to).
-        new_rows.sort_by_key(|r| (r.support.len(), r.support.clone(), r.weights.clone()));
+        new_rows.sort_by(Row::tableau_order);
         new_rows.dedup_by(|a, b| a.weights == b.weights && a.incidence == b.incidence);
         let mut kept: Vec<Row> = Vec::with_capacity(new_rows.len());
         for row in new_rows {
             let redundant = kept
                 .iter()
-                .any(|k| k.support.len() < row.support.len() && k.support.is_subset(&row.support));
+                .any(|k| k.support_len < row.support_len && k.support_within(&row));
             if !redundant {
                 kept.push(row);
             }
@@ -300,6 +331,7 @@ mod tests {
         dme, figure1, jjreg, muller, philosophers, random_composed, slotted_ring, DmeStyle,
         JjregVariant, RandomNetConfig,
     };
+    use std::collections::BTreeSet;
 
     /// The final minimality filter `minimal_invariants_with` used to run on
     /// its result, kept as the oracle: it drops every invariant whose
@@ -363,6 +395,53 @@ mod tests {
                 synchronisations: (seed % 5) as usize,
             };
             assert_filter_is_the_identity(&random_composed(config, seed));
+        }
+    }
+
+    #[test]
+    fn bitset_tableau_order_matches_the_sorted_index_order() {
+        // The bitset comparison must order every pair of rows as the
+        // `(support size, sorted support indices, weights)` key does, so
+        // the invariants come out in the same order. Supports span several
+        // words, and some pairs differ only past the first word.
+        let row = |weights: Vec<i64>| Row::new(Vec::new(), weights);
+        let key = |r: &Row| {
+            let support: BTreeSet<usize> =
+                (0..r.weights.len()).filter(|&i| r.weights[i] > 0).collect();
+            (support.len(), support, r.weights.clone())
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rows = Vec::new();
+        for _ in 0..300 {
+            let weights = (0..150)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    // Sparse supports with occasional weight 2.
+                    match state % 40 {
+                        0 => 2,
+                        1..=3 => 1,
+                        _ => 0,
+                    }
+                })
+                .collect();
+            rows.push(row(weights));
+        }
+        // Same-size variants differing only past the first word.
+        for i in 0..100 {
+            let mut weights = rows[i].weights.clone();
+            let from = (64..150).find(|&p| weights[p] > 0).unwrap();
+            let to = (64..150).rev().find(|&p| weights[p] == 0).unwrap();
+            weights.swap(from, to);
+            rows.push(row(weights));
+        }
+        let keys: Vec<_> = rows.iter().map(key).collect();
+        for (a, ka) in rows.iter().zip(&keys) {
+            for (b, kb) in rows.iter().zip(&keys) {
+                assert_eq!(a.tableau_order(b), ka.cmp(kb));
+                assert_eq!(a.support_within(b), ka.1.is_subset(&kb.1));
+            }
         }
     }
 

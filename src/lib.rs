@@ -54,10 +54,9 @@ pub use pnsym_core::{
     toggling_activity, toggling_of_state_codes, AnalysisError, AnalysisOptions, AnalysisReport,
     AssignmentStrategy, Block, Budget, CheckReport, DegradationStep, Encoding, ExplicitChecker,
     FixpointStrategy, ImageCluster, ImagePlan, Interrupt, ParseStrategyError, PassObserver,
-    PortfolioReport, PreImageCluster, PreImagePlan, Property, PropertyParseError,
-    ReachabilityResult, SchemeKind, SiftPolicy, SymbolicContext, TogglingReport, TraceKind,
-    TransitionEffect, TraversalOptions, TruncationReason, WitnessTrace, ZddAnalysisReport,
-    ZddContext, ZddReachabilityResult,
+    PortfolioReport, Property, PropertyParseError, ReachabilityResult, SchemeKind, SiftPolicy,
+    SymbolicContext, TogglingReport, TraceKind, TransitionEffect, TraversalOptions,
+    TruncationReason, WitnessTrace, ZddAnalysisReport, ZddContext, ZddReachabilityResult,
 };
 #[cfg(feature = "fault-inject")]
 pub use pnsym_core::{DiskFaultSchedule, DiskFaultSite, FaultSchedule, FaultSite};
