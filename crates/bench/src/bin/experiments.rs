@@ -61,6 +61,7 @@
 
 use pnsym_bench::{net_by_spec, table3_workloads, table4_workloads, Scale, Workload};
 use pnsym_core::json::Json;
+use pnsym_core::server::build_context;
 use pnsym_core::{
     analyze, analyze_zdd_governed, analyze_zdd_with, toggling_activity, toggling_of_state_codes,
     AnalysisOptions, AnalysisReport, AssignmentStrategy, Budget, Encoding, FixpointStrategy,
@@ -796,18 +797,6 @@ fn strategies(scale: Scale, records: &mut Vec<Json>) {
     println!("(both strategies must match the bfs markings exactly)");
 }
 
-/// The symbolic context used by the property runner: the improved dense
-/// encoding when the structural phase succeeds, sparse otherwise.
-fn property_context(net: &PetriNet) -> SymbolicContext {
-    match find_smcs(net) {
-        Ok(smcs) => SymbolicContext::new(
-            net,
-            Encoding::improved(net, &smcs, AssignmentStrategy::Gray),
-        ),
-        Err(_) => SymbolicContext::new(net, Encoding::sparse(net)),
-    }
-}
-
 /// Checks one suite against one net, printing the per-property table rows.
 /// Returns whether every recorded expectation was met.
 fn run_property_suite(
@@ -826,7 +815,7 @@ fn run_property_suite(
         "   {:<20} {:>7} {:>7} {:>12} {:>8} {:>9}  formula",
         "property", "verdict", "expect", "sat/reached", "witness", "time(ms)"
     );
-    let mut ctx = property_context(net);
+    let mut ctx = build_context(net);
     let mut all_met = true;
     for query in queries {
         let prop = match Property::parse(&query.formula, net) {

@@ -5,6 +5,7 @@
 use crate::encoding::{Block, Encoding};
 use crate::image::TransitionEffect;
 use crate::plan::ImagePlan;
+use crate::traverse::{PassObserver, ReachabilityResult, TraversalOptions};
 use pnsym_bdd::{BddManager, ManagerStats, Ref, VarId};
 use pnsym_net::{Marking, PetriNet, PlaceId, TransitionId};
 use std::rc::Rc;
@@ -15,6 +16,11 @@ use std::rc::Rc;
 /// manager. The characteristic functions, enabling functions and the initial
 /// set are protected from garbage collection for the lifetime of the
 /// context.
+///
+/// The context also owns its one complete reached set
+/// ([`SymbolicContext::reached_set`]): the set depends only on the net and
+/// the encoding, not on the traversal strategy, so it is computed once and
+/// every query of the context reads it.
 ///
 /// # Examples
 ///
@@ -41,6 +47,9 @@ pub struct SymbolicContext {
     /// The precomputed image plan, built lazily on first image or
     /// pre-image computation.
     plan: Option<Rc<ImagePlan>>,
+    /// The complete reached set, holding one protection; written only by
+    /// [`SymbolicContext::adopt_reached`].
+    reached: Option<ReachabilityResult>,
 }
 
 impl std::fmt::Debug for SymbolicContext {
@@ -122,6 +131,7 @@ impl SymbolicContext {
             initial,
             effects,
             plan: None,
+            reached: None,
         }
     }
 
@@ -150,6 +160,50 @@ impl SymbolicContext {
     /// opposite order. Kept for source compatibility.
     pub fn pre_image_plan(&mut self) -> Rc<ImagePlan> {
         self.image_plan()
+    }
+
+    /// The complete reached set of this context, computed once.
+    ///
+    /// Returns the memoized result when there is one, whatever strategy
+    /// `options` names: every strategy computes the same set. Otherwise it
+    /// runs [`reachable_markings_observed`](Self::reachable_markings_observed)
+    /// with `options`, `seed` and `observer` and memoizes the result if the
+    /// run completed. A truncated result is not memoized; its set carries a
+    /// protection of its own, which the caller releases once done with it.
+    pub fn reached_set(
+        &mut self,
+        options: TraversalOptions,
+        seed: Option<Ref>,
+        observer: Option<&mut PassObserver<'_>>,
+    ) -> ReachabilityResult {
+        if let Some(run) = self.reached {
+            return run;
+        }
+        let run = self.reachable_markings_observed(options, seed, observer);
+        self.adopt_reached(run);
+        run
+    }
+
+    /// The memoized complete reached set, if one was computed or adopted.
+    pub fn memoized_reached(&self) -> Option<ReachabilityResult> {
+        self.reached
+    }
+
+    /// Hands `run`, whose set carries one protection, to the memo. A
+    /// truncated run is ignored and keeps its protection. When the memo
+    /// is already filled, the run's protection is released instead: a
+    /// complete run of this context always reaches the memoized `Ref`.
+    pub(crate) fn adopt_reached(&mut self, run: ReachabilityResult) {
+        if run.truncated.is_some() {
+            return;
+        }
+        match self.reached {
+            Some(memo) => {
+                debug_assert_eq!(memo.reached, run.reached, "a second complete reached set");
+                self.manager.unprotect(run.reached);
+            }
+            None => self.reached = Some(run),
+        }
     }
 
     /// The analysed net.

@@ -115,12 +115,14 @@ impl SymbolicContext {
     /// Purely boolean formulas are translated over the whole encoded space
     /// (no reachability fixpoint is run); temporal formulas are evaluated
     /// over the reachable state space, i.e. this is
-    /// [`SymbolicContext::sat_set`] with the reached set as the model.
+    /// [`SymbolicContext::sat_set`] with the context's
+    /// [`reached_set`](SymbolicContext::reached_set) as the model.
     pub fn property_set(&mut self, property: &Property) -> Ref {
         let within = if property.is_boolean() {
             self.manager().one()
         } else {
-            self.reachable_markings().reached
+            self.reached_set(TraversalOptions::default(), None, None)
+                .reached
         };
         self.sat_set(property, within)
     }
@@ -129,10 +131,10 @@ impl SymbolicContext {
     /// `property`, computed by bottom-up fixpoint evaluation.
     ///
     /// `within` is the model: the set the path quantifiers range over,
-    /// typically the reached set of
-    /// [`SymbolicContext::reachable_markings`]. It must be closed under
-    /// successors for the universal operators to be meaningful (the
-    /// reached set is). The result is always a subset of `within`.
+    /// typically the reached set of [`SymbolicContext::reached_set`]. It
+    /// must be closed under successors for the universal operators to be
+    /// meaningful (the reached set is). The result is always a subset of
+    /// `within`.
     pub fn sat_set(&mut self, property: &Property, within: Ref) -> Ref {
         let mut cache = SubtermCache::default();
         let sat = self.sat_set_memo(property, within, &mut cache);
@@ -351,7 +353,9 @@ impl SymbolicContext {
     /// Whether some reachable marking satisfies `property`
     /// (`EF property` from the initial marking).
     pub fn check_reachable(&mut self, property: &Property) -> bool {
-        let reached = self.reachable_markings().reached;
+        let reached = self
+            .reached_set(TraversalOptions::default(), None, None)
+            .reached;
         let sat = self.sat_set(property, reached);
         sat != self.manager().zero()
     }
@@ -359,7 +363,9 @@ impl SymbolicContext {
     /// Whether every reachable marking satisfies `property`
     /// (`AG property` from the initial marking).
     pub fn check_invariant(&mut self, property: &Property) -> bool {
-        let reached = self.reachable_markings().reached;
+        let reached = self
+            .reached_set(TraversalOptions::default(), None, None)
+            .reached;
         let sat = self.sat_set(property, reached);
         sat == reached
     }
@@ -398,8 +404,10 @@ impl SymbolicContext {
     /// [`SymbolicContext::check_property`] with explicit traversal options:
     /// the strategy and GC threshold of the reachability fixpoint, and a
     /// budget that governs the traversal and, re-armed, the CTL evaluation
-    /// (see [`SymbolicContext::check_portfolio_on`]). The report's
-    /// `duration` includes the traversal.
+    /// (see [`SymbolicContext::check_portfolio_on`]). The fixpoint runs
+    /// only while the context has no complete reached set
+    /// ([`SymbolicContext::reached_set`]); the report's `duration`
+    /// includes it when it runs.
     pub fn check_property_with(
         &mut self,
         property: &Property,
@@ -452,13 +460,21 @@ impl SymbolicContext {
 
     /// [`SymbolicContext::check_portfolio`] with explicit traversal options
     /// for the underlying reachability fixpoint and the per-query budget.
+    /// The portfolio is evaluated over the context's
+    /// [`reached_set`](SymbolicContext::reached_set), so only the first
+    /// query of a context traverses.
     pub fn check_portfolio_with(
         &mut self,
         properties: &[Property],
         options: TraversalOptions,
     ) -> PortfolioReport {
-        let run = self.reachable_markings_with(options);
-        self.check_portfolio_on(properties, &run, options)
+        let run = self.reached_set(options, None, None);
+        let portfolio = self.check_portfolio_on(properties, &run, options);
+        if run.truncated.is_some() {
+            // Never memoized: release the partial set once it is evaluated.
+            self.manager_mut().unprotect(run.reached);
+        }
+        portfolio
     }
 
     /// Evaluates a portfolio over an *already computed* reachability result
@@ -692,6 +708,7 @@ impl SymbolicContext {
 mod tests {
     use super::*;
     use crate::encoding::{AssignmentStrategy, Encoding};
+    use crate::traverse::FixpointStrategy;
     use pnsym_net::nets::{dme, figure1, philosophers, DmeStyle};
     use pnsym_net::{PetriNet, PlaceId};
     use pnsym_structural::find_smcs;
@@ -950,15 +967,14 @@ mod tests {
 
     #[test]
     fn trace_extraction_keeps_protections_balanced_across_queries() {
-        // `check_property` legitimately adds exactly one protection per
-        // call: the freshly computed reached set, which stays valid for the
-        // context's lifetime. Anything beyond that is a leak in the
-        // witness/counterexample machinery (ring search, one-step evidence
-        // or lasso walk).
+        // After the first query the context's reached set is memoized, so
+        // a `check_property` call adds no protection at all. Anything it
+        // leaves behind is a leak in the witness/counterexample machinery
+        // (ring search, one-step evidence or lasso walk).
         let net = philosophers(2);
         let mut ctx = dense_ctx(&net);
-        // Warm the image plan so its one-time artefact protections do not
-        // show up in the per-query delta.
+        // Warm the image plan and the reached set so their one-time
+        // protections do not show up in the per-query delta.
         let _ = ctx.check_property(&Property::parse("EF true", &net).unwrap());
         for text in [
             "EF !EX true",             // ring-search witness
@@ -975,8 +991,8 @@ mod tests {
             let _ = ctx.check_property(&prop);
             assert_eq!(
                 ctx.manager().protected_root_count(),
-                before + 1,
-                "{text}: only the reached set may stay protected after a query"
+                before,
+                "{text}: a query on a warm context leaves nothing protected"
             );
         }
         // The lasso extractor is individually balanced as well.
@@ -988,6 +1004,33 @@ mod tests {
             crate::trace::assert_protections_balanced(&mut ctx, |ctx| ctx.lasso_from_initial(eg));
         let lasso = lasso.expect("EG !eating.0 holds initially");
         assert!(lasso.is_lasso().is_some());
+    }
+
+    #[test]
+    fn consecutive_queries_on_one_context_traverse_once() {
+        // The first query computes and memoizes the reached set; every
+        // later `check_property_with` or `check_reachable`, under any
+        // strategy, reads it: no image work and no new protection.
+        let net = philosophers(3);
+        let mut ctx = dense_ctx(&net);
+        let both = Property::parse("eating.0 & eating.1", &net).unwrap();
+        let bfs = TraversalOptions::with_strategy(FixpointStrategy::Bfs { use_frontier: true });
+        let first = ctx.check_property_with(&both, bfs);
+        let image_work = |ctx: &SymbolicContext| ctx.stats().op_and_exists.lookups();
+        let lookups = image_work(&ctx);
+        let roots = ctx.manager().protected_root_count();
+        assert!(lookups > 0, "the first query traverses");
+        for options in [bfs, TraversalOptions::default()] {
+            let again = ctx.check_property_with(&both, options);
+            assert_eq!(again.reached_markings, first.reached_markings);
+            assert!(!ctx.check_reachable(&both));
+            assert_eq!(
+                image_work(&ctx),
+                lookups,
+                "no image work after the first query"
+            );
+            assert_eq!(ctx.manager().protected_root_count(), roots);
+        }
     }
 
     #[test]
@@ -1108,10 +1151,13 @@ mod tests {
         .iter()
         .map(|t| Property::parse(t, &net).unwrap())
         .collect();
-        // Warm the plans so their one-time protections don't show up.
-        let _ = ctx.check_property(&props[1]);
-        // A cold portfolio pass protects exactly the fresh reached set.
+        // Warm the plan so its one-time protections don't show up.
+        let _ = ctx.image_plan();
+        // A cold portfolio pass protects exactly the memoized reached set,
+        // and a second pass over the memo protects nothing.
         let before = ctx.manager().protected_root_count();
+        let _ = ctx.check_portfolio(&props);
+        assert_eq!(ctx.manager().protected_root_count(), before + 1);
         let _ = ctx.check_portfolio(&props);
         assert_eq!(ctx.manager().protected_root_count(), before + 1);
         // A warm pass over an existing reachability result protects nothing.
@@ -1129,6 +1175,8 @@ mod tests {
     fn governed_portfolio_degrades_to_typed_verdicts() {
         let net = philosophers(2);
         let mut ctx = dense_ctx(&net);
+        let _ = ctx.image_plan();
+        let roots = ctx.manager().protected_root_count();
         let props: Vec<Property> = ["EF eating.0", "AG !(eating.0 & eating.1)"]
             .iter()
             .map(|t| Property::parse(t, &net).unwrap())
@@ -1145,6 +1193,11 @@ mod tests {
                 "an expired budget degrades every verdict to a typed reason"
             );
         }
+        assert_eq!(
+            ctx.manager().protected_root_count(),
+            roots,
+            "the truncated reached set is released, not memoized"
+        );
         // The budget is disarmed on return: the same context completes an
         // ungoverned pass with definitive verdicts.
         let full = ctx.check_portfolio(&props);

@@ -10,6 +10,11 @@
 //! burst over one family cannot permanently evict another family's warm
 //! state beyond the pool capacity.
 //!
+//! The pool keeps no reached sets of its own. There is one reached set per
+//! context, independent of the traversal strategy, and the context holds
+//! it ([`SymbolicContext::reached_set`]): a set completed under any
+//! strategy serves queries under every strategy.
+//!
 //! The key is a canonical structural hash of the net (names, arcs, initial
 //! marking), not the request's spec string, so `phil-3` and
 //! `philosophers(3)` share one warm entry.
@@ -91,17 +96,16 @@ pub struct PoolStats {
     pub restores: u64,
 }
 
-/// One pooled entry: a warm [`SymbolicContext`] plus the completed reached
-/// sets computed on it, keyed by traversal strategy.
+/// One pooled entry: a warm [`SymbolicContext`], whose memo holds the
+/// entry's complete reached set once a query has computed it.
 pub struct WarmContext {
     key: u64,
     spec: String,
     ctx: SymbolicContext,
-    reached: Vec<(FixpointStrategy, ReachabilityResult)>,
 }
 
 impl WarmContext {
-    /// Wraps a freshly built context into a (still result-less) pool entry.
+    /// Wraps a freshly built context into a pool entry.
     /// `spec` is the net spec the entry was first built for — informational
     /// only (the pool key is the canonical net hash), but recorded in
     /// snapshots so on-disk state is attributable.
@@ -110,7 +114,6 @@ impl WarmContext {
             key,
             spec: spec.into(),
             ctx,
-            reached: Vec::new(),
         }
     }
 
@@ -134,40 +137,15 @@ impl WarmContext {
         &mut self.ctx
     }
 
-    /// All cached complete reached sets, in insertion order.
-    pub fn reached_all(&self) -> &[(FixpointStrategy, ReachabilityResult)] {
-        &self.reached
-    }
-
-    /// Replaces the cached reached sets wholesale — the snapshot-restore
-    /// path, which rebuilds the whole per-strategy list from disk.
-    pub fn install_reached(&mut self, reached: Vec<(FixpointStrategy, ReachabilityResult)>) {
-        self.reached = reached;
-    }
-
-    /// The cached *complete* reached set for `strategy`, if one was stored.
-    /// The underlying BDD root stays protected for the context's lifetime
-    /// (traversal protects it), so the `Ref` inside is valid as long as
-    /// this entry lives.
-    pub fn reached_for(&self, strategy: FixpointStrategy) -> Option<ReachabilityResult> {
-        self.reached
-            .iter()
-            .find(|(s, _)| *s == strategy)
-            .map(|(_, run)| *run)
-    }
-
-    /// Stores a reached set for reuse. Truncated runs are *not* cached —
-    /// a degraded prefix must never masquerade as the fixpoint for a later
-    /// query with a healthier budget.
+    /// Hands a complete run of this entry's context to the context's
+    /// reached-set memo. `strategy` is ignored, since every strategy
+    /// reaches the same set; the method is kept for source compatibility.
+    /// A truncated run is not stored, and its protection stays with the
+    /// caller. When the memo already holds the set, the run's extra
+    /// protection is released.
     pub fn store_reached(&mut self, strategy: FixpointStrategy, run: ReachabilityResult) {
-        if run.truncated.is_some() {
-            return;
-        }
-        if let Some(slot) = self.reached.iter_mut().find(|(s, _)| *s == strategy) {
-            slot.1 = run;
-        } else {
-            self.reached.push((strategy, run));
-        }
+        let _ = strategy;
+        self.ctx.adopt_reached(run);
     }
 }
 
@@ -338,18 +316,45 @@ mod tests {
         let mut pool = ContextPool::new(1);
         let strategy = FixpointStrategy::default();
         let (entry, _) = pool.acquire(key, || sparse_ctx(&net));
-        assert!(entry.reached_for(strategy).is_none());
+        assert!(entry.context().memoized_reached().is_none());
+
+        // A truncated run never installs a set, and keeps its protection.
+        let capped = crate::traverse::TraversalOptions {
+            max_iterations: Some(1),
+            ..Default::default()
+        };
+        let partial = entry.context_mut().reachable_markings_with(capped);
+        assert!(partial.truncated.is_some());
+        entry.store_reached(strategy, partial);
+        assert!(entry.context().memoized_reached().is_none());
+        entry.context_mut().manager_mut().unprotect(partial.reached);
+
         let run = entry.context_mut().reachable_markings();
         entry.store_reached(strategy, run);
-        let warm = entry.reached_for(strategy).expect("complete run cached");
+        let warm = entry
+            .context()
+            .memoized_reached()
+            .expect("complete run cached");
         assert_eq!(warm.num_markings, run.num_markings);
+        let roots = entry.context().manager().protected_root_count();
 
-        // A truncated run must not overwrite the good one.
+        // A second complete run of any strategy reaches the memoized `Ref`;
+        // storing it releases its extra protection.
+        let bfs = FixpointStrategy::Bfs { use_frontier: true };
+        let again = entry
+            .context_mut()
+            .reachable_markings_with(crate::traverse::TraversalOptions::with_strategy(bfs));
+        assert_eq!(again.reached, run.reached);
+        entry.store_reached(bfs, again);
+        assert_eq!(entry.context().manager().protected_root_count(), roots);
+
+        // A truncated run never replaces the good one.
         let mut bad = run;
         bad.truncated = Some(pnsym_bdd::TruncationReason::Deadline);
         bad.num_markings = 1.0;
         entry.store_reached(strategy, bad);
-        let still = entry.reached_for(strategy).expect("cache intact");
+        let still = entry.context().memoized_reached().expect("cache intact");
         assert_eq!(still.num_markings, run.num_markings);
+        assert_eq!(entry.context().manager().protected_root_count(), roots);
     }
 }

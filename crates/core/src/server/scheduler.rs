@@ -14,6 +14,13 @@
 //! [`Budget`](pnsym_bdd::Budget) → evaluate the portfolio in one memoized
 //! bottom-up pass → stream one verdict line per property and a closing
 //! summary line.
+//!
+//! There is one reached set per context, independent of the traversal
+//! strategy ([`SymbolicContext::reached_set`]): once any query completes
+//! the fixpoint, queries under every strategy are served from it without a
+//! traversal. A traversal resumes from the net's checkpoint whichever
+//! strategy wrote it, and a truncated set is released as soon as its
+//! portfolio has been evaluated.
 
 use super::pool::{canonical_net_hash, ContextPool, WarmContext};
 use super::proto::{CheckRequest, ErrorCode, PoolOutcome, Request, Response, Verdict};
@@ -74,10 +81,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// Builds the context the daemon serves for a net: the PR-2 dense SMC
+/// Builds the context the daemon serves for a net: the improved dense SMC
 /// encoding with Gray assignment when an SMC cover exists, the sparse
-/// one-variable-per-place encoding otherwise — the same policy as the
-/// bench harness.
+/// one-variable-per-place encoding otherwise. The bench harness's property
+/// runner builds its contexts here too.
 pub fn build_context(net: &PetriNet) -> SymbolicContext {
     match find_smcs(net) {
         Ok(smcs) => SymbolicContext::new(
@@ -160,8 +167,7 @@ impl Scheduler {
             }
             let mut entry = WarmContext::new(key, spec, build_context(&net));
             match store.restore_warm(key, entry.context_mut()) {
-                Some(Ok(results)) => {
-                    entry.install_reached(results);
+                Some(Ok(_)) => {
                     self.pool.note_restore();
                     let _ = self.pool.insert(entry);
                 }
@@ -276,10 +282,7 @@ impl Scheduler {
             let mut restored = false;
             if let Some(store) = snapshots.as_deref_mut() {
                 match store.restore_warm(key, fresh.context_mut()) {
-                    Some(Ok(results)) => {
-                        fresh.install_reached(results);
-                        restored = true;
-                    }
+                    Some(Ok(_)) => restored = true,
                     Some(Err(reason)) => {
                         eprintln!(
                             "pnsymd: snapshot {key:016x} rejected ({reason}); rebuilding cold"
@@ -313,19 +316,19 @@ impl Scheduler {
         };
         let entry = pool.get_mut(key).expect("entry just touched or inserted");
 
-        // Reuse the cached fixpoint when this strategy already completed on
-        // the warm context; otherwise run the governed traversal — resumed
-        // from the last durable checkpoint when one exists, re-checkpointed
-        // at pass boundaries as it runs — and cache (plus snapshot) the
-        // result if it ran to completion.
+        // Reuse the context's complete reached set, whatever strategy
+        // produced it; otherwise run the governed traversal — resumed from
+        // the last durable checkpoint when one exists, re-checkpointed at
+        // pass boundaries as it runs — and snapshot the result if it ran
+        // to completion (the context memoizes it).
         let mut spilled = false;
-        let run = match entry.reached_for(strategy) {
+        let run = match entry.context().memoized_reached() {
             Some(run) => run,
             None => {
                 let mut seed = None;
                 let mut base_iterations = 0usize;
                 if let Some(store) = snapshots.as_deref_mut() {
-                    match store.load_checkpoint(key, strategy, entry.context_mut()) {
+                    match store.load_checkpoint(key, entry.context_mut()) {
                         Some(Ok((set, passes))) => {
                             seed = Some(set);
                             base_iterations = passes;
@@ -336,42 +339,30 @@ impl Scheduler {
                         None => {}
                     }
                 }
-                let checkpointing = checkpoint_every != 0 && snapshots.is_some();
-                let mut run = if checkpointing {
-                    let spec = check.net.as_str();
-                    let snapshots = &mut snapshots;
-                    let mut observer = |ctx: &SymbolicContext, reached: Ref, pass: usize| {
-                        if !pass.is_multiple_of(checkpoint_every) {
-                            return;
+                let spec = check.net.as_str();
+                let mut observer = |ctx: &SymbolicContext, reached: Ref, pass: usize| {
+                    if checkpoint_every == 0 || !pass.is_multiple_of(checkpoint_every) {
+                        return;
+                    }
+                    if let Some(store) = snapshots.as_deref_mut() {
+                        if let Err(err) = store.save_checkpoint(
+                            key,
+                            spec,
+                            strategy,
+                            ctx,
+                            reached,
+                            base_iterations + pass,
+                        ) {
+                            eprintln!("pnsymd: checkpoint write failed: {err}");
                         }
-                        if let Some(store) = snapshots.as_deref_mut() {
-                            if let Err(err) = store.save_checkpoint(
-                                key,
-                                spec,
-                                strategy,
-                                ctx,
-                                reached,
-                                base_iterations + pass,
-                            ) {
-                                eprintln!("pnsymd: checkpoint write failed: {err}");
-                            }
-                        }
-                    };
-                    entry.context_mut().reachable_markings_observed(
-                        options,
-                        seed,
-                        Some(&mut observer),
-                    )
-                } else {
-                    entry
-                        .context_mut()
-                        .reachable_markings_observed(options, seed, None)
+                    }
                 };
-                run.iterations += base_iterations;
+                let run = entry
+                    .context_mut()
+                    .reached_set(options, seed, Some(&mut observer));
                 if let Some(seed) = seed {
                     entry.context_mut().manager_mut().unprotect(seed);
                 }
-                entry.store_reached(strategy, run);
                 if run.truncated.is_none() {
                     if let Some(store) = snapshots {
                         store.clear_checkpoint(key);
@@ -391,6 +382,10 @@ impl Scheduler {
         let portfolio = entry
             .context_mut()
             .check_portfolio_on(&portfolio_props, &run, options);
+        if run.truncated.is_some() {
+            // Never memoized: release the partial set once it is evaluated.
+            entry.context_mut().manager_mut().unprotect(run.reached);
+        }
         if spilled {
             pool.note_spill();
         }
@@ -631,5 +626,94 @@ mod tests {
         };
         assert_eq!(v.truncated, None);
         assert!(v.holds);
+    }
+
+    fn context_of<'a>(scheduler: &'a mut Scheduler, net: &PetriNet) -> &'a mut SymbolicContext {
+        let key = canonical_net_hash(net);
+        scheduler
+            .pool
+            .get_mut(key)
+            .expect("net is warm")
+            .context_mut()
+    }
+
+    fn with_strategy(mut request: Request, strategy: &str) -> Request {
+        if let Request::Check(check) = &mut request {
+            check.strategy = Some(strategy.to_string());
+        }
+        request
+    }
+
+    #[test]
+    fn repeated_deadline_queries_release_their_truncated_sets() {
+        let net = nets::philosophers(2);
+        let mut scheduler = test_scheduler(1);
+        let mut request = Request::check_text(4, "phil-2", &[("p", "EF eating.0")]);
+        if let Request::Check(check) = &mut request {
+            check.deadline_ms = Some(0);
+        }
+        let _ = collect(&mut scheduler, &request);
+        let roots = context_of(&mut scheduler, &net)
+            .manager()
+            .protected_root_count();
+        for _ in 0..3 {
+            let responses = collect(&mut scheduler, &request);
+            assert!(matches!(
+                responses.last(),
+                Some(Response::Done {
+                    pool: PoolOutcome::Hit,
+                    truncated: Some(TruncationReason::Deadline),
+                    ..
+                })
+            ));
+            let ctx = context_of(&mut scheduler, &net);
+            assert!(ctx.memoized_reached().is_none());
+            assert_eq!(
+                ctx.manager().protected_root_count(),
+                roots,
+                "a truncated reached set must not stay protected"
+            );
+        }
+    }
+
+    #[test]
+    fn any_strategy_is_served_from_a_completed_reached_set() {
+        let net = nets::philosophers(2);
+        let suite = [
+            ("exclusion", "AG !(eating.0 & eating.1)"),
+            ("can-eat", "EF eating.0"),
+            ("both", "eating.0 & eating.1"),
+        ];
+        let mut warm = test_scheduler(1);
+        let _ = collect(
+            &mut warm,
+            &with_strategy(Request::check_text(1, "phil-2", &suite), "saturation"),
+        );
+        // A bfs query of boolean formulas after the completed saturation
+        // query does no image work: it runs no traversal.
+        let lookups = context_of(&mut warm, &net).stats().op_and_exists.lookups();
+        let _ = collect(
+            &mut warm,
+            &with_strategy(Request::check_text(2, "phil-2", &suite[2..]), "bfs"),
+        );
+        assert_eq!(
+            context_of(&mut warm, &net).stats().op_and_exists.lookups(),
+            lookups
+        );
+        // Its verdict lines equal those of a cold bfs query.
+        let verdicts = |responses: Vec<Response>| -> Vec<(bool, f64, f64)> {
+            responses
+                .into_iter()
+                .filter_map(|resp| match resp {
+                    Response::Verdict(v) => Some((v.holds, v.sat_markings, v.reached_markings)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let bfs = with_strategy(Request::check_text(3, "phil-2", &suite), "bfs");
+        let served = verdicts(collect(&mut warm, &bfs));
+        let cold = verdicts(collect(&mut test_scheduler(1), &bfs));
+        assert_eq!(served.len(), suite.len());
+        assert_eq!(served, cold);
     }
 }

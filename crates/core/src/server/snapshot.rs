@@ -5,14 +5,21 @@
 //! same checksummed envelope around a [`SerializedBdd`] byte blob:
 //!
 //! * **Warm snapshots** (`warm-<hash>.pnsnap`) — one per pooled net: the
-//!   net's canonical hash, its spec string, and every *complete*
-//!   per-strategy [`ReachabilityResult`] with the reached sets exported
-//!   as a shared multi-rooted BDD slice. Written when a query completes
-//!   and when the LRU pool evicts a warm entry (spill-instead-of-drop).
+//!   net's canonical hash, its spec string, and the context's one
+//!   *complete* [`ReachabilityResult`] (tagged with the strategy that
+//!   produced it) with the reached set exported as a single-rooted BDD
+//!   slice. Written when a query completes and when the LRU pool evicts a
+//!   warm entry (spill-instead-of-drop).
 //! * **Checkpoints** (`ckpt-<hash>.pnsnap`) — the partial reached set of
 //!   a long-running fixpoint, rewritten at pass boundaries. A restart
 //!   resumes the traversal from the checkpointed set instead of the
-//!   initial marking; the file is deleted when the fixpoint completes.
+//!   initial marking, under whatever strategy the resuming query names:
+//!   the seed is a subset of the fixpoint, so resuming is sound. The file
+//!   is deleted when the fixpoint completes.
+//!
+//! Either kind carries exactly one entry and one root: there is one
+//! reached set per context, independent of the traversal strategy. An
+//! older multi-entry file is a typed rejection and is rebuilt cold.
 //!
 //! Every write is atomic — write to a temp file, `fsync`, rename — so a
 //! `kill -9` at any instant leaves either the previous file or the new
@@ -30,7 +37,7 @@
 
 use super::pool::WarmContext;
 use crate::context::SymbolicContext;
-use crate::traverse::{FixpointStrategy, ReachabilityResult};
+use crate::traverse::{FixpointStrategy, ParseStrategyError, ReachabilityResult};
 use pnsym_bdd::{snapshot_checksum, Ref, SerializedBdd, SnapshotError};
 use std::fs;
 use std::io::{self, Write as _};
@@ -44,10 +51,6 @@ const STORE_MAGIC: &[u8; 8] = b"PNSYMDS\0";
 const STORE_VERSION: u32 = 1;
 const KIND_WARM: u8 = 1;
 const KIND_CHECKPOINT: u8 = 2;
-/// Upper bound on per-strategy entries in one warm snapshot — far above
-/// the number of distinct traversal strategies, it only bounds the
-/// allocation a corrupt count field could request.
-const MAX_ENTRIES: usize = 64;
 
 /// Why a snapshot file was rejected. Every variant degrades to a cold
 /// rebuild: the file is deleted and the query proceeds as a miss.
@@ -83,8 +86,9 @@ impl std::fmt::Display for SnapshotRejection {
 
 impl std::error::Error for SnapshotRejection {}
 
-/// One per-strategy record of a decoded snapshot envelope.
-#[derive(Debug, Clone, PartialEq)]
+/// The one record of a snapshot envelope: the strategy that produced the
+/// set, its marking count (0 for a checkpoint) and its pass count.
+#[derive(Debug)]
 struct RawEntry {
     strategy: String,
     num_markings: f64,
@@ -96,7 +100,7 @@ struct Payload {
     kind: u8,
     net_hash: u64,
     spec: String,
-    entries: Vec<RawEntry>,
+    entry: RawEntry,
     bdd: SerializedBdd,
 }
 
@@ -150,19 +154,17 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn encode(kind: u8, net_hash: u64, spec: &str, entries: &[RawEntry], blob: &[u8]) -> Vec<u8> {
+fn encode(kind: u8, net_hash: u64, spec: &str, entry: &RawEntry, blob: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(blob.len() + 256);
     out.extend_from_slice(STORE_MAGIC);
     push_u32(&mut out, STORE_VERSION);
     out.push(kind);
     push_u64(&mut out, net_hash);
     push_str(&mut out, spec);
-    push_u32(&mut out, entries.len() as u32);
-    for entry in entries {
-        push_str(&mut out, &entry.strategy);
-        push_u64(&mut out, entry.num_markings.to_bits());
-        push_u64(&mut out, entry.iterations);
-    }
+    push_u32(&mut out, 1);
+    push_str(&mut out, &entry.strategy);
+    push_u64(&mut out, entry.num_markings.to_bits());
+    push_u64(&mut out, entry.iterations);
     push_u32(&mut out, blob.len() as u32);
     out.extend_from_slice(blob);
     let sum = snapshot_checksum(&out);
@@ -199,21 +201,16 @@ fn decode(bytes: &[u8]) -> Result<Payload, SnapshotRejection> {
     }
     let net_hash = r.u64()?;
     let spec = r.str()?;
-    let count = r.u32()? as usize;
-    if count > MAX_ENTRIES {
-        return Err(SnapshotRejection::Envelope("implausible entry count"));
+    if r.u32()? != 1 {
+        return Err(SnapshotRejection::Envelope(
+            "snapshot must carry exactly one entry",
+        ));
     }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let strategy = r.str()?;
-        let num_markings = f64::from_bits(r.u64()?);
-        let iterations = r.u64()?;
-        entries.push(RawEntry {
-            strategy,
-            num_markings,
-            iterations,
-        });
-    }
+    let entry = RawEntry {
+        strategy: r.str()?,
+        num_markings: f64::from_bits(r.u64()?),
+        iterations: r.u64()?,
+    };
     let blob_len = r.u32()? as usize;
     let blob = r.take(blob_len)?;
     if r.remaining() != 0 {
@@ -225,7 +222,7 @@ fn decode(bytes: &[u8]) -> Result<Payload, SnapshotRejection> {
             "BDD blob tag disagrees with the envelope's net hash",
         ));
     }
-    if bdd.num_roots() != entries.len() {
+    if bdd.num_roots() != 1 {
         return Err(SnapshotRejection::Envelope(
             "root count disagrees with the entry count",
         ));
@@ -234,18 +231,15 @@ fn decode(bytes: &[u8]) -> Result<Payload, SnapshotRejection> {
         kind,
         net_hash,
         spec,
-        entries,
+        entry,
         bdd,
     })
 }
 
-/// Imports the decoded slice into a live context, reordering the manager
-/// to the snapshot's variable order first (imports require order
-/// equality). Returns the imported roots, unprotected.
-fn import_into(
-    ctx: &mut SymbolicContext,
-    bdd: &SerializedBdd,
-) -> Result<Vec<Ref>, SnapshotRejection> {
+/// Imports the decoded single-rooted slice into a live context, reordering
+/// the manager to the snapshot's variable order first (imports require
+/// order equality). Returns the imported root, unprotected.
+fn import_into(ctx: &mut SymbolicContext, bdd: &SerializedBdd) -> Result<Ref, SnapshotRejection> {
     if bdd.num_vars() != ctx.manager().num_vars() {
         return Err(SnapshotRejection::Mismatch(format!(
             "snapshot has {} variables, the live context {}",
@@ -256,7 +250,7 @@ fn import_into(
     if ctx.manager().current_order() != bdd.order() {
         ctx.manager_mut().reorder_to(&bdd.order());
     }
-    Ok(ctx.manager_mut().import_subgraph(bdd))
+    Ok(ctx.manager_mut().import_subgraph(bdd)[0])
 }
 
 /// Deterministic *disk* failure points exercised by the `fault-inject`
@@ -432,44 +426,37 @@ impl SnapshotStore {
         Ok(bytes)
     }
 
-    /// Spills a warm pool entry: every complete per-strategy result, with
-    /// the reached sets exported as one shared multi-rooted slice.
-    /// Returns `Ok(false)` without writing when the entry has no complete
-    /// results worth persisting.
+    /// Spills a warm pool entry: its context's complete reached set,
+    /// tagged with the strategy that produced it. Returns `Ok(false)`
+    /// without writing when the context has no complete reached set.
     pub fn save_warm(&mut self, entry: &WarmContext) -> io::Result<bool> {
-        let results: Vec<&(FixpointStrategy, ReachabilityResult)> = entry
-            .reached_all()
-            .iter()
-            .filter(|(_, run)| run.truncated.is_none())
-            .collect();
-        if results.is_empty() {
+        let Some(run) = entry.context().memoized_reached() else {
             return Ok(false);
-        }
-        let roots: Vec<Ref> = results.iter().map(|(_, run)| run.reached).collect();
+        };
         let blob = entry
             .context()
             .manager()
-            .export_subgraph(&roots)
+            .export_subgraph(&[run.reached])
             .to_bytes(entry.key());
-        let entries: Vec<RawEntry> = results
-            .iter()
-            .map(|(strategy, run)| RawEntry {
-                strategy: strategy.to_string(),
-                num_markings: run.num_markings,
-                iterations: run.iterations as u64,
-            })
-            .collect();
-        let bytes = encode(KIND_WARM, entry.key(), entry.spec(), &entries, &blob);
+        let record = RawEntry {
+            strategy: run.strategy.to_string(),
+            num_markings: run.num_markings,
+            iterations: run.iterations as u64,
+        };
+        let bytes = encode(KIND_WARM, entry.key(), entry.spec(), &record, &blob);
         self.write_atomic(&self.warm_path(entry.key()), &bytes)?;
         Ok(true)
     }
 
     /// Rehydrates the warm snapshot for `key` into a freshly built
-    /// context: imports the reached sets (reordering the manager to the
-    /// snapshot's order), protects them, and re-verifies each marking
-    /// count against the one recorded at save time. `None` when no
-    /// snapshot exists; on `Err` the offending file has already been
-    /// deleted and the caller proceeds cold.
+    /// context: imports the reached set (reordering the manager to the
+    /// snapshot's order), re-verifies its marking count against the one
+    /// recorded at save time, and installs it as the context's memoized
+    /// [`reached_set`](SymbolicContext::reached_set). The one result is
+    /// returned tagged with the strategy that produced it; the `Vec` is
+    /// kept for source compatibility. `None` when no snapshot exists; on
+    /// `Err` the offending file has already been deleted and the caller
+    /// proceeds cold.
     pub fn restore_warm(
         &mut self,
         key: u64,
@@ -503,46 +490,32 @@ impl SnapshotStore {
                 payload.net_hash
             )));
         }
-        let roots = import_into(ctx, &payload.bdd)?;
-        let mut restored: Vec<(FixpointStrategy, ReachabilityResult)> =
-            Vec::with_capacity(roots.len());
-        for (entry, &root) in payload.entries.iter().zip(&roots) {
-            let strategy = match entry.strategy.parse::<FixpointStrategy>() {
-                Ok(strategy) => strategy,
-                Err(err) => {
-                    for (_, run) in &restored {
-                        ctx.manager_mut().unprotect(run.reached);
-                    }
-                    return Err(SnapshotRejection::Mismatch(err.to_string()));
-                }
-            };
-            ctx.manager_mut().protect(root);
-            let num_markings = ctx.count_markings(root);
-            if num_markings != entry.num_markings {
-                ctx.manager_mut().unprotect(root);
-                for (_, run) in &restored {
-                    ctx.manager_mut().unprotect(run.reached);
-                }
-                return Err(SnapshotRejection::Mismatch(format!(
-                    "restored {:?} set counts {num_markings} markings, snapshot recorded {}",
-                    entry.strategy, entry.num_markings
-                )));
-            }
-            restored.push((
-                strategy,
-                ReachabilityResult {
-                    reached: root,
-                    num_markings,
-                    iterations: entry.iterations as usize,
-                    bdd_nodes: ctx.bdd_size(root),
-                    peak_live_nodes: ctx.manager().peak_live_nodes(),
-                    duration: Duration::ZERO,
-                    truncated: None,
-                    strategy,
-                },
-            ));
+        let entry = payload.entry;
+        let strategy: FixpointStrategy = entry
+            .strategy
+            .parse()
+            .map_err(|err: ParseStrategyError| SnapshotRejection::Mismatch(err.to_string()))?;
+        let root = import_into(ctx, &payload.bdd)?;
+        let num_markings = ctx.count_markings(root);
+        if num_markings != entry.num_markings {
+            return Err(SnapshotRejection::Mismatch(format!(
+                "restored {:?} set counts {num_markings} markings, snapshot recorded {}",
+                entry.strategy, entry.num_markings
+            )));
         }
-        Ok(restored)
+        ctx.manager_mut().protect(root);
+        let run = ReachabilityResult {
+            reached: root,
+            num_markings,
+            iterations: entry.iterations as usize,
+            bdd_nodes: ctx.bdd_size(root),
+            peak_live_nodes: ctx.manager().peak_live_nodes(),
+            duration: Duration::ZERO,
+            truncated: None,
+            strategy,
+        };
+        ctx.adopt_reached(run);
+        Ok(vec![(strategy, run)])
     }
 
     /// Deletes the warm snapshot for `key`, if any.
@@ -577,7 +550,8 @@ impl SnapshotStore {
             .collect()
     }
 
-    /// Checkpoints the partial reached set of a running fixpoint.
+    /// Checkpoints the partial reached set of a running fixpoint;
+    /// `strategy` is recorded for attribution only.
     pub fn save_checkpoint(
         &mut self,
         key: u64,
@@ -588,25 +562,24 @@ impl SnapshotStore {
         iterations: usize,
     ) -> io::Result<()> {
         let blob = ctx.manager().export_subgraph(&[reached]).to_bytes(key);
-        let entries = [RawEntry {
+        let record = RawEntry {
             strategy: strategy.to_string(),
             num_markings: 0.0,
             iterations: iterations as u64,
-        }];
-        let bytes = encode(KIND_CHECKPOINT, key, spec, &entries, &blob);
+        };
+        let bytes = encode(KIND_CHECKPOINT, key, spec, &record, &blob);
         self.write_atomic(&self.ckpt_path(key), &bytes)
     }
 
     /// Loads the checkpoint for `key` into a live context, returning the
     /// imported (and protected) partial reached set plus the pass count
-    /// it had completed. `None` when no checkpoint exists *or* it was
-    /// written under a different strategy (the file is left in place for
-    /// a later query of that strategy); on `Err` the file has been
-    /// deleted and the traversal restarts from the initial marking.
+    /// it had completed. Any strategy may resume from it, whichever one
+    /// wrote it: the set is a subset of the fixpoint every strategy
+    /// reaches. `None` when no checkpoint exists; on `Err` the file has
+    /// been deleted and the traversal restarts from the initial marking.
     pub fn load_checkpoint(
         &mut self,
         key: u64,
-        strategy: FixpointStrategy,
         ctx: &mut SymbolicContext,
     ) -> Option<Result<(Ref, usize), SnapshotRejection>> {
         let path = self.ckpt_path(key);
@@ -625,34 +598,16 @@ impl SnapshotStore {
                     payload.net_hash
                 )));
             }
-            let [entry] = payload.entries.as_slice() else {
-                return Err(SnapshotRejection::Envelope(
-                    "checkpoint must carry exactly one entry",
-                ));
-            };
-            Ok((entry.clone(), payload.bdd))
+            let seed = import_into(ctx, &payload.bdd)?;
+            Ok((seed, payload.entry.iterations as usize))
         })();
-        let (entry, bdd) = match result {
-            Ok(decoded) => decoded,
-            Err(rejection) => {
+        match result {
+            Ok((seed, _)) => ctx.manager_mut().protect(seed),
+            Err(_) => {
                 let _ = fs::remove_file(&path);
-                return Some(Err(rejection));
-            }
-        };
-        if entry.strategy.parse() != Ok(strategy) {
-            return None;
-        }
-        match import_into(ctx, &bdd) {
-            Ok(roots) => {
-                let seed = roots[0];
-                ctx.manager_mut().protect(seed);
-                Some(Ok((seed, entry.iterations as usize)))
-            }
-            Err(rejection) => {
-                let _ = fs::remove_file(&path);
-                Some(Err(rejection))
             }
         }
+        Some(result)
     }
 
     /// Deletes the checkpoint for `key` — called when its fixpoint

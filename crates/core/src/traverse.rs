@@ -637,8 +637,11 @@ impl SymbolicContext {
     /// Computes the set of reachable markings under the strategy and
     /// policies of `options`, through the shared fixpoint driver.
     ///
-    /// The returned [`ReachabilityResult::reached`] BDD is protected in the
-    /// context's manager and remains valid until the context is dropped.
+    /// The returned [`ReachabilityResult::reached`] BDD carries one
+    /// protection in the context's manager and remains valid until the
+    /// context is dropped. This primitive always traverses and never
+    /// touches the context's memo; queries read the memoized set of
+    /// [`SymbolicContext::reached_set`] instead.
     pub fn reachable_markings_with(&mut self, options: TraversalOptions) -> ReachabilityResult {
         self.reachable_markings_observed(options, None, None)
     }

@@ -33,13 +33,9 @@
 mod cover;
 mod invariants;
 mod smc;
-mod tinvariants;
 
 pub use cover::{select_smc_cover, CoverProblem, CoverStrategy, SmcCover};
 pub use invariants::{
     minimal_invariants, minimal_invariants_with, Invariant, InvariantError, InvariantOptions,
 };
 pub use smc::{check_smc, find_smcs, find_smcs_with, smcs_from_invariants, Smc, SmcCheckError};
-pub use tinvariants::{
-    minimal_t_invariants, place_bounds, structurally_safe, uncovered_places, PlaceBound, TInvariant,
-};

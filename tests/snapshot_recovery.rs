@@ -291,6 +291,52 @@ fn warm_snapshot_naming_a_retired_strategy_is_rejected_and_rebuilt_cold() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A warm snapshot holds exactly one entry: a file in the older
+/// multi-entry layout (one record per strategy) is a typed rejection, and
+/// the file is deleted so the family rebuilds cold.
+#[test]
+fn multi_entry_warm_snapshot_is_rejected_typed() {
+    let net = nets::figure1();
+    let key = canonical_net_hash(&net);
+    let strategy = strategy("bfs");
+    let mut entry = WarmContext::new(key, "figure1", build_context(&net));
+    let run = entry
+        .context_mut()
+        .reachable_markings_with(TraversalOptions::with_strategy(strategy));
+    entry.store_reached(strategy, run);
+    let dir = scratch_dir("multi-entry");
+    let mut store = SnapshotStore::open(&dir).expect("open store");
+    assert!(store.save_warm(&entry).expect("save warm"));
+    let path = dir.join(format!("warm-{key:016x}.pnsnap"));
+    let clean = fs::read(&path).expect("read snapshot");
+
+    // Envelope: magic, version, kind, net hash, spec, entry count, then
+    // each entry as (strategy, marking count, pass count).
+    let count_at = 8 + 4 + 1 + 8 + 4 + "figure1".len();
+    let entry_len = 4 + "bfs".len() + 8 + 8;
+    let entry_at = count_at + 4;
+    let mut bytes = clean[..count_at].to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&clean[entry_at..entry_at + entry_len]);
+    bytes.extend_from_slice(&clean[entry_at..clean.len() - 8]);
+    let sum = snapshot_checksum(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    fs::write(&path, &bytes).expect("write two-entry snapshot");
+
+    let mut fresh = build_context(&net);
+    let rejection = store
+        .restore_warm(key, &mut fresh)
+        .expect("file exists")
+        .expect_err("a multi-entry snapshot must be rejected");
+    assert!(
+        matches!(rejection, SnapshotRejection::Envelope(what) if what.contains("exactly one entry")),
+        "{rejection}"
+    );
+    assert!(!path.exists(), "rejected snapshot is deleted");
+    assert!(fresh.memoized_reached().is_none());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Each retired strategy spelling is a terminal `request` error naming the
 /// surviving strategies, and the connection stays open for the next query.
 #[test]
@@ -370,7 +416,7 @@ fn checkpoint_resume_converges_to_the_cold_fixpoint() {
 
     let mut revived = build_context(&net);
     let (seed, base_passes) = store
-        .load_checkpoint(key, strategy, &mut revived)
+        .load_checkpoint(key, &mut revived)
         .expect("checkpoint file exists")
         .expect("checkpoint decodes");
     assert_eq!(base_passes, passes_seen, "last pass boundary persisted");
@@ -386,11 +432,24 @@ fn checkpoint_resume_converges_to_the_cold_fixpoint() {
         "resumed fixpoint is bit-identical"
     );
 
-    // A checkpoint for a different strategy is left alone (None), and a
-    // completed query clears its checkpoint.
-    let other = FixpointStrategy::Saturation;
+    // Any strategy resumes from the checkpoint: saturation seeded with the
+    // bfs checkpoint converges to the same fixpoint, byte for byte.
     let mut fresh = build_context(&net);
-    assert!(store.load_checkpoint(key, other, &mut fresh).is_none());
+    let (seed, _) = store
+        .load_checkpoint(key, &mut fresh)
+        .expect("checkpoint file is still in place")
+        .expect("checkpoint decodes");
+    let saturation = TraversalOptions::with_strategy(FixpointStrategy::Saturation);
+    let resumed = fresh.reachable_markings_observed(saturation, Some(seed), None);
+    fresh.manager_mut().unprotect(seed);
+    assert_eq!(resumed.num_markings, cold_run.num_markings);
+    assert_eq!(
+        cold_bytes,
+        export_bytes(&fresh, resumed.reached, key),
+        "saturation resumed from a bfs checkpoint is bit-identical"
+    );
+
+    // A completed query clears its checkpoint.
     assert!(dir.join(format!("ckpt-{key:016x}.pnsnap")).exists());
     store.clear_checkpoint(key);
     assert!(!dir.join(format!("ckpt-{key:016x}.pnsnap")).exists());
