@@ -12,6 +12,19 @@
 //! deadlock (`AG EX true`) — can be phrased directly against the paper's
 //! encodings.
 //!
+//! # Fixpoints
+//!
+//! The least fixpoints `EF` and `EU` (and through `EF`, `AG`) *chain*, as
+//! the forward traversal does: a sweep walks the plan's backward cluster
+//! order and ORs each cluster's pre-image of the current set into it at
+//! once, so a state found early in the sweep is already a target for the
+//! clusters after it; the fixpoint is reached when a full sweep adds
+//! nothing. The greatest fixpoint `EG` takes one full backward step per
+//! iteration. `AF` and `AU` are evaluated through their duals
+//! (`AF q = ¬EG ¬q`, `A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q)`) as subterms of
+//! the evaluation pass's cache, so a portfolio holding both computes the
+//! `EG ¬q` core they share once, and their counterexamples read it back.
+//!
 //! # Path semantics at deadlocks
 //!
 //! Safe Petri nets can deadlock, so the transition relation is not total
@@ -26,6 +39,7 @@
 //! deadlock itself is expressible inside the language as `!EX true`.
 
 use crate::context::SymbolicContext;
+use crate::plan::{ImageCluster, ImagePlan};
 use crate::property::Property;
 use crate::trace::WitnessTrace;
 use crate::traverse::{ReachabilityResult, TraversalOptions};
@@ -109,6 +123,34 @@ struct SubtermCache {
 const GOVERNED_CTL: &str =
     "budget breached inside an infallible CTL fixpoint; governed callers must use the try_* variants";
 
+/// The plan's backward cluster order, shared by every backward step: the
+/// ranks of [`ImagePlan::structural_order`] reversed, clusters of equal
+/// rank in ascending order (reversing those too builds larger intermediate
+/// sets, and the slot-12 CTL suite runs markedly slower).
+fn backward_order(plan: &ImagePlan) -> impl Iterator<Item = usize> + '_ {
+    let clusters = plan.clusters();
+    plan.structural_order()
+        .chunk_by(move |&a, &b| clusters[a].rank == clusters[b].rank)
+        .rev()
+        .flatten()
+        .copied()
+}
+
+/// The `EG ¬a` core of `AF a = ¬EG ¬a`, which is also the infinite branch
+/// of `¬A[_ U a]`. Evaluated as a subterm, so a portfolio computes it once
+/// for all the formulas that hold it.
+fn af_core(a: &Property) -> Property {
+    Property::eg(a.clone().not())
+}
+
+/// The operands `(¬b, ¬a∧¬b)` of the finite branch `E[¬b U ¬a∧¬b]` of
+/// `¬A[a U b] = E[¬b U ¬a∧¬b] ∨ EG ¬b`.
+fn au_finite(a: &Property, b: &Property) -> (Property, Property) {
+    let not_b = b.clone().not();
+    let neither = a.clone().not().and(not_b.clone());
+    (not_b, neither)
+}
+
 impl SymbolicContext {
     /// Translates a [`Property`] into the BDD of its satisfying markings.
     ///
@@ -161,12 +203,10 @@ impl SymbolicContext {
     }
 
     /// The pre-image of `target` under all transitions (one backward step),
-    /// folded cluster by cluster against the flow: the plan's structural
-    /// order with its ranks reversed, clusters of equal rank in ascending
-    /// order (reversing those too builds larger intermediate sets, and the
-    /// slot-12 CTL suite runs markedly slower). Within a cluster the
-    /// shared quantification cube is walked once per member and the
-    /// members' pre-images are OR-folded.
+    /// folded cluster by cluster in the plan's backward order: its
+    /// structural order with the ranks reversed, clusters of equal rank in
+    /// ascending order. Within a cluster the shared quantification cube is
+    /// walked once per member and the members' pre-images are OR-folded.
     pub fn pre_image_all(&mut self, target: Ref) -> Ref {
         self.try_pre_image_all(target)
             .expect("budget breached inside an infallible pre-image; governed callers must use try_pre_image_all")
@@ -176,29 +216,33 @@ impl SymbolicContext {
     /// [`Interrupt`] when the installed budget trips.
     pub fn try_pre_image_all(&mut self, target: Ref) -> Result<Ref, Interrupt> {
         let plan = self.image_plan();
-        let clusters = plan.clusters();
-        let backward = plan
-            .structural_order()
-            .chunk_by(|&a, &b| clusters[a].rank == clusters[b].rank)
-            .rev()
-            .flatten();
-        let m = self.manager_mut();
-        let mut acc = m.zero();
-        for &c in backward {
-            let cluster = &clusters[c];
-            let mut part = m.zero();
-            for member in &cluster.members {
-                let substituted =
-                    m.try_and_exists_cube(target, member.target, cluster.quant_cube)?;
-                if substituted == m.zero() {
-                    continue;
-                }
-                let pre = m.try_and(member.enabling, substituted)?;
-                part = m.try_or(part, pre)?;
-            }
-            acc = m.try_or(acc, part)?;
+        let mut acc = self.manager().zero();
+        for c in backward_order(&plan) {
+            let part = self.try_cluster_pre_image(&plan.clusters()[c], target)?;
+            acc = self.manager_mut().try_or(acc, part)?;
         }
         Ok(acc)
+    }
+
+    /// The pre-image of `target` under the members of one cluster: the
+    /// shared quantification cube is walked once per member and the
+    /// members' pre-images are OR-folded.
+    fn try_cluster_pre_image(
+        &mut self,
+        cluster: &ImageCluster,
+        target: Ref,
+    ) -> Result<Ref, Interrupt> {
+        let m = self.manager_mut();
+        let mut part = m.zero();
+        for member in &cluster.members {
+            let substituted = m.try_and_exists_cube(target, member.target, cluster.quant_cube)?;
+            if substituted == m.zero() {
+                continue;
+            }
+            let pre = m.try_and(member.enabling, substituted)?;
+            part = m.try_or(part, pre)?;
+        }
+        Ok(part)
     }
 
     /// CTL `EX target` restricted to `within`: states of `within` with a
@@ -232,22 +276,10 @@ impl SymbolicContext {
         self.try_ef(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::ef`]: the budget is additionally
-    /// force-checked at every fixpoint iteration, so a tiny deadline
-    /// truncates deterministically even on nets too small for the
-    /// amortized in-recursion check to fire.
+    /// Governed [`SymbolicContext::ef`]: `E[true U target]`, computed by
+    /// the chained [`SymbolicContext::try_eu`].
     pub fn try_ef(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
-        let mut z = self.manager_mut().try_and(target, within)?;
-        loop {
-            self.manager_mut().force_checkpoint()?;
-            let pre = self.try_pre_image_all(z)?;
-            let step = self.manager_mut().try_and(pre, within)?;
-            let next = self.manager_mut().try_or(z, step)?;
-            if next == z {
-                return Ok(z);
-            }
-            z = next;
-        }
+        self.try_eu(within, target, within)
     }
 
     /// CTL `EG target` restricted to `within` (greatest fixpoint of
@@ -258,8 +290,10 @@ impl SymbolicContext {
         self.try_eg(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::eg`] (see [`SymbolicContext::try_ef`]
-    /// for the per-iteration checkpoint discipline).
+    /// Governed [`SymbolicContext::eg`]: breadth-first, one full backward
+    /// step per iteration. The budget is additionally force-checked at every
+    /// iteration, so a tiny deadline truncates deterministically even on
+    /// nets too small for the amortized in-recursion check to fire.
     pub fn try_eg(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
         let mut z = self.manager_mut().try_and(target, within)?;
         loop {
@@ -305,49 +339,54 @@ impl SymbolicContext {
         self.try_eu(hold, until, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::eu`] (see [`SymbolicContext::try_ef`]
-    /// for the per-iteration checkpoint discipline).
+    /// Governed [`SymbolicContext::eu`], computed by *chaining*: each sweep
+    /// walks the backward cluster order of
+    /// [`SymbolicContext::pre_image_all`] and ORs every cluster's pre-image
+    /// of the current set, restricted to `hold ∧ within`, into the set at
+    /// once; a sweep that adds nothing ends the fixpoint. Unlike the
+    /// forward saturation driver, no cluster is skipped as clean: under an
+    /// arbitrary `hold` a commuted backward path may leave `hold`, so only
+    /// a full confirming sweep is sound. The budget is force-checked at
+    /// every sweep, so a tiny deadline truncates deterministically even on
+    /// nets too small for the amortized in-recursion check to fire.
     pub fn try_eu(&mut self, hold: Ref, until: Ref, within: Ref) -> Result<Ref, Interrupt> {
+        let plan = self.image_plan();
         let hold_w = self.manager_mut().try_and(hold, within)?;
         let mut z = self.manager_mut().try_and(until, within)?;
         loop {
             self.manager_mut().force_checkpoint()?;
-            let pre = self.try_pre_image_all(z)?;
-            let step = self.manager_mut().try_and(hold_w, pre)?;
-            let next = self.manager_mut().try_or(z, step)?;
-            if next == z {
+            let swept_from = z;
+            for c in backward_order(&plan) {
+                let pre = self.try_cluster_pre_image(&plan.clusters()[c], z)?;
+                let step = self.manager_mut().try_and(pre, hold_w)?;
+                z = self.manager_mut().try_or(z, step)?;
+            }
+            if z == swept_from {
                 return Ok(z);
             }
-            z = next;
         }
     }
 
     /// CTL `A[hold U until]` restricted to `within` (least fixpoint of
     /// `until ∨ (hold ∧ AX Z)`): states all of whose paths satisfy `hold`
     /// until they reach `until`. Deadlocked `hold`-states satisfy it
-    /// vacuously, per the module's path semantics; the classical duality
-    /// `A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q)` is preserved (and pinned by
-    /// the tests).
+    /// vacuously, per the module's path semantics.
     pub fn au(&mut self, hold: Ref, until: Ref, within: Ref) -> Ref {
         self.try_au(hold, until, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::au`] (see [`SymbolicContext::try_ef`]
-    /// for the per-iteration checkpoint discipline).
+    /// Governed [`SymbolicContext::au`], through its duality
+    /// `A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q)` (complements taken in
+    /// `within`): the chained [`SymbolicContext::try_eu`] plus one
+    /// [`SymbolicContext::try_eg`], instead of a full `AX` step per
+    /// iteration.
     pub fn try_au(&mut self, hold: Ref, until: Ref, within: Ref) -> Result<Ref, Interrupt> {
-        let hold_w = self.manager_mut().try_and(hold, within)?;
-        let until_w = self.manager_mut().try_and(until, within)?;
-        let mut z = until_w;
-        loop {
-            self.manager_mut().force_checkpoint()?;
-            let ax_z = self.try_ax(z, within)?;
-            let step = self.manager_mut().try_and(hold_w, ax_z)?;
-            let next = self.manager_mut().try_or(until_w, step)?;
-            if next == z {
-                return Ok(z);
-            }
-            z = next;
-        }
+        let not_until = self.manager_mut().try_diff(within, until)?;
+        let neither = self.manager_mut().try_diff(not_until, hold)?;
+        let finite = self.try_eu(not_until, neither, within)?;
+        let infinite = self.try_eg(not_until, within)?;
+        let fails = self.manager_mut().try_or(finite, infinite)?;
+        self.manager_mut().try_diff(within, fails)
     }
 
     /// Whether some reachable marking satisfies `property`
@@ -462,14 +501,16 @@ impl SymbolicContext {
     /// for the underlying reachability fixpoint and the per-query budget.
     /// The portfolio is evaluated over the context's
     /// [`reached_set`](SymbolicContext::reached_set), so only the first
-    /// query of a context traverses.
+    /// query of a context traverses. The time budget bounds the whole
+    /// call: the evaluation gets what the traversal left of it.
     pub fn check_portfolio_with(
         &mut self,
         properties: &[Property],
         options: TraversalOptions,
     ) -> PortfolioReport {
+        let start = Instant::now();
         let run = self.reached_set(options, None, None);
-        let portfolio = self.check_portfolio_on(properties, &run, options);
+        let portfolio = self.check_portfolio_on(properties, &run, options.remaining_since(start));
         if run.truncated.is_some() {
             // Never memoized: release the partial set once it is evaluated.
             self.manager_mut().unprotect(run.reached);
@@ -616,8 +657,8 @@ impl SymbolicContext {
                 self.try_ax(fa, within)?
             }
             Property::Af(a) => {
-                let fa = self.sat_set_memo(a, within, cache)?;
-                self.try_af(fa, within)?
+                let avoid = self.sat_set_memo(&af_core(a), within, cache)?;
+                self.manager_mut().try_diff(within, avoid)?
             }
             Property::Ag(a) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
@@ -629,9 +670,11 @@ impl SymbolicContext {
                 self.try_eu(fa, fb, within)?
             }
             Property::Au(a, b) => {
-                let fa = self.sat_set_memo(a, within, cache)?;
-                let fb = self.sat_set_memo(b, within, cache)?;
-                self.try_au(fa, fb, within)?
+                let (not_b, neither) = au_finite(a, b);
+                let finite = self.sat_set_memo(&Property::eu(not_b, neither), within, cache)?;
+                let infinite = self.sat_set_memo(&af_core(b), within, cache)?;
+                let fails = self.manager_mut().try_or(finite, infinite)?;
+                self.manager_mut().try_diff(within, fails)?
             }
         };
         self.manager_mut().protect(result);
@@ -642,9 +685,10 @@ impl SymbolicContext {
     /// Extracts the trace of a [`CheckReport`], dispatching on the
     /// top-level operator and the verdict. `sat` is the already-computed
     /// satisfaction set of `property`, reused where the trace needs exactly
-    /// that fixpoint (the `EG` core, or its complement for failed `AF`);
-    /// the sets of its operands are read from the pass's `cache`, which
-    /// holds every subterm of an evaluated formula.
+    /// that fixpoint (the `EG` core); every other set, including the `EG`
+    /// and `EU` branches that `AF` and `AU` are evaluated through, is read
+    /// from the pass's `cache`, which holds every subterm of an evaluated
+    /// formula.
     fn explain(
         &mut self,
         property: &Property,
@@ -674,30 +718,24 @@ impl SymbolicContext {
                 let not_fa = self.manager_mut().diff(reached, set(a));
                 Some((self.one_step_trace(not_fa)?, TraceKind::Counterexample))
             }
-            (false, Property::Af(_)) => {
-                // AF φ = reached \ EG ¬φ, so the EG ¬φ core is the
-                // complement of `sat`.
-                let core = self.manager_mut().diff(reached, sat);
+            (false, Property::Af(a)) => {
+                let core = set(&af_core(a));
                 Some((self.lasso_from_initial(core)?, TraceKind::Counterexample))
             }
             (false, Property::Au(a, b)) => {
                 // ¬A[a U b] = E[¬b U ¬a∧¬b] ∨ EG ¬b: prefer the finite
                 // branch (a ¬b-path into a state violating both), fall back
                 // to a ¬b-lasso.
-                let not_b = self.manager_mut().diff(reached, set(b));
-                let not_ab = self.manager_mut().diff(not_b, set(a));
-                let finite = self.eu(not_b, not_ab, reached);
+                let (not_b, neither) = au_finite(a, b);
+                let finite = set(&Property::eu(not_b.clone(), neither.clone()));
                 let init = self.initial_set();
                 let init_in_finite = self.manager_mut().and(init, finite);
-                if init_in_finite != zero {
-                    Some((
-                        self.witness_trace_in(not_ab, not_b)?,
-                        TraceKind::Counterexample,
-                    ))
+                let trace = if init_in_finite != zero {
+                    self.witness_trace_in(set(&neither), set(&not_b))
                 } else {
-                    let core = self.eg(not_b, reached);
-                    Some((self.lasso_from_initial(core)?, TraceKind::Counterexample))
-                }
+                    self.lasso_from_initial(set(&af_core(b)))
+                };
+                Some((trace?, TraceKind::Counterexample))
             }
             _ => None,
         }
@@ -709,7 +747,10 @@ mod tests {
     use super::*;
     use crate::encoding::{AssignmentStrategy, Encoding};
     use crate::traverse::FixpointStrategy;
-    use pnsym_net::nets::{dme, figure1, philosophers, DmeStyle};
+    use pnsym_net::nets::{
+        dme, figure1, muller, philosophers, random_composed, slotted_ring, DmeStyle,
+        RandomNetConfig,
+    };
     use pnsym_net::{PetriNet, PlaceId};
     use pnsym_structural::find_smcs;
 
@@ -719,6 +760,123 @@ mod tests {
             net,
             Encoding::improved(net, &smcs, AssignmentStrategy::Gray),
         )
+    }
+
+    /// The breadth-first `E[hold U until]` the chained fixpoint replaced,
+    /// kept as its oracle: every iteration takes one full backward step of
+    /// the whole current set.
+    fn bfs_eu(ctx: &mut SymbolicContext, hold: Ref, until: Ref, within: Ref) -> Ref {
+        let hold_w = ctx.manager_mut().and(hold, within);
+        let mut z = ctx.manager_mut().and(until, within);
+        loop {
+            let pre = ctx.pre_image_all(z);
+            let step = ctx.manager_mut().and(hold_w, pre);
+            let next = ctx.manager_mut().or(z, step);
+            if next == z {
+                return z;
+            }
+            z = next;
+        }
+    }
+
+    /// The `A[hold U until]` the duality replaced, kept as its oracle: the
+    /// least fixpoint of `until ∨ (hold ∧ AX Z)`, one `AX` step per
+    /// iteration.
+    fn ax_iteration_au(ctx: &mut SymbolicContext, hold: Ref, until: Ref, within: Ref) -> Ref {
+        let hold_w = ctx.manager_mut().and(hold, within);
+        let until_w = ctx.manager_mut().and(until, within);
+        let mut z = until_w;
+        loop {
+            let ax_z = ctx.ax(z, within);
+            let step = ctx.manager_mut().and(hold_w, ax_z);
+            let next = ctx.manager_mut().or(until_w, step);
+            if next == z {
+                return z;
+            }
+            z = next;
+        }
+    }
+
+    #[test]
+    fn chained_eu_and_dual_au_equal_their_oracles() {
+        let mut nets = vec![
+            philosophers(6),
+            slotted_ring(6),
+            muller(8),
+            dme(4, DmeStyle::Circuit),
+        ];
+        nets.extend((0..3).map(|seed| random_composed(RandomNetConfig::default(), seed)));
+        for net in &nets {
+            let smcs = find_smcs(net).unwrap();
+            for encoding in [
+                Encoding::sparse(net),
+                Encoding::improved(net, &smcs, AssignmentStrategy::Gray),
+            ] {
+                let mut ctx = SymbolicContext::new(net, encoding);
+                let reached = ctx.reachable_markings().reached;
+                let n = net.num_places();
+                let marked: Vec<Ref> = [0, n / 3, 2 * n / 3, n - 1]
+                    .into_iter()
+                    .map(|i| {
+                        let chi = ctx.place_fn(PlaceId(i as u32));
+                        ctx.manager_mut().and(chi, reached)
+                    })
+                    .collect();
+                let dead = ctx.deadlocks_in(reached);
+                // Holds: everything (EF), and each place unmarked, which a
+                // firing that marks the place leaves. A hold that is not
+                // closed under successors is the case in which a driver
+                // that skips clean clusters would miss states; every net
+                // has one. Untils: each place, and deadlock.
+                let mut pairs = Vec::new();
+                let mut open_holds = 0;
+                for (i, &p) in marked.iter().enumerate() {
+                    let unmarked = ctx.manager_mut().diff(reached, p);
+                    let successors = ctx.image_all(unmarked);
+                    if ctx.manager_mut().diff(successors, unmarked) != ctx.manager().zero() {
+                        open_holds += 1;
+                    }
+                    pairs.push((reached, p));
+                    pairs.push((unmarked, dead));
+                    for &q in marked.iter().skip(i + 1) {
+                        pairs.push((unmarked, q));
+                    }
+                }
+                assert!(open_holds > 0, "{}: a hold its firings leave", net.name());
+                for (hold, until) in pairs {
+                    assert_eq!(
+                        ctx.eu(hold, until, reached),
+                        bfs_eu(&mut ctx, hold, until, reached),
+                        "{}: chained EU",
+                        net.name()
+                    );
+                    assert_eq!(
+                        ctx.au(hold, until, reached),
+                        ax_iteration_au(&mut ctx, hold, until, reached),
+                        "{}: dual AU",
+                        net.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn af_and_au_share_their_eg_core_through_the_subterm_cache() {
+        let net = muller(4);
+        let mut ctx = dense_ctx(&net);
+        let props: Vec<Property> = ["AF done.0", "A[!done.1 U done.0]"]
+            .iter()
+            .map(|t| Property::parse(t, &net).unwrap())
+            .collect();
+        let portfolio = ctx.check_portfolio(&props);
+        assert!(portfolio.reports.iter().all(|r| r.holds));
+        // `AF done.0` walks its 4 nodes cold: AF, its core EG !done.0,
+        // !done.0 and done.0. `A[!done.1 U done.0]` walks AU, its finite
+        // branch E[!done.0 U !!done.1 & !done.0], !done.0 (hit), the
+        // conjunction, !!done.1, !done.1, done.1, !done.0 (hit) and its
+        // infinite branch EG !done.0: a hit, so the core is computed once.
+        assert_eq!((portfolio.subterm_hits, portfolio.subterm_lookups), (3, 13));
     }
 
     #[test]
@@ -1064,7 +1222,7 @@ mod tests {
     #[test]
     fn a_budget_governs_ctl_evaluation_as_well_as_the_traversal() {
         // phil-4's traversal takes about 2,200 governed steps and the
-        // `AG EF` fixpoint over its reached set about 27,000, so a
+        // chained `AG EF` fixpoint over its reached set about 14,000, so a
         // 5,000-step budget admits the first and trips inside the second.
         let net = philosophers(4);
         let prop = Property::parse("AG EF eating.0", &net).unwrap();

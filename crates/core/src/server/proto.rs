@@ -140,7 +140,9 @@ pub struct CheckRequest {
     /// The portfolio, evaluated in order in a single bottom-up pass with
     /// shared subterm caching.
     pub properties: Vec<NamedFormula>,
-    /// Wall-clock deadline in milliseconds.
+    /// Wall-clock deadline in milliseconds, counted from when the server
+    /// starts handling the request: it bounds the whole query, traversal
+    /// and evaluation together.
     pub deadline_ms: Option<u64>,
     /// Live-node ceiling of the evaluating manager.
     pub node_ceiling: Option<u64>,

@@ -357,9 +357,11 @@ impl Scheduler {
                         }
                     }
                 };
-                let run = entry
-                    .context_mut()
-                    .reached_set(options, seed, Some(&mut observer));
+                let run = entry.context_mut().reached_set(
+                    options.remaining_since(start),
+                    seed,
+                    Some(&mut observer),
+                );
                 if let Some(seed) = seed {
                     entry.context_mut().manager_mut().unprotect(seed);
                 }
@@ -379,9 +381,11 @@ impl Scheduler {
         };
 
         let portfolio_props: Vec<Property> = properties.iter().map(|(_, p)| p.clone()).collect();
-        let portfolio = entry
-            .context_mut()
-            .check_portfolio_on(&portfolio_props, &run, options);
+        let portfolio = entry.context_mut().check_portfolio_on(
+            &portfolio_props,
+            &run,
+            options.remaining_since(start),
+        );
         if run.truncated.is_some() {
             // Never memoized: release the partial set once it is evaluated.
             entry.context_mut().manager_mut().unprotect(run.reached);
@@ -626,6 +630,39 @@ mod tests {
         };
         assert_eq!(v.truncated, None);
         assert!(v.holds);
+    }
+
+    #[test]
+    fn the_deadline_bounds_the_whole_query_not_each_phase() {
+        // The net resolver runs inside the query, before the governed
+        // phases; a slow one uses up the whole window. The reached set is
+        // already memoized, so the evaluation is the only governed phase,
+        // and it must get what is left of the window (nothing), not a
+        // fresh window of its own.
+        let resolver: NetResolver = Box::new(|spec| {
+            std::thread::sleep(Duration::from_millis(30));
+            (spec == "phil-2").then(|| nets::philosophers(2))
+        });
+        let mut scheduler = Scheduler::new(ServerConfig::default(), resolver);
+        let suite = [("p", "EF eating.0")];
+        let _ = collect(&mut scheduler, &Request::check_text(1, "phil-2", &suite));
+        let mut request = Request::check_text(2, "phil-2", &suite);
+        if let Request::Check(check) = &mut request {
+            check.deadline_ms = Some(10);
+        }
+        let responses = collect(&mut scheduler, &request);
+        let Response::Verdict(v) = &responses[0] else {
+            panic!("expected verdict, got {:?}", responses[0]);
+        };
+        assert_eq!(v.truncated, Some(TruncationReason::Deadline));
+        assert!(matches!(
+            responses.last(),
+            Some(Response::Done {
+                pool: PoolOutcome::Hit,
+                truncated: Some(TruncationReason::Deadline),
+                ..
+            })
+        ));
     }
 
     fn context_of<'a>(scheduler: &'a mut Scheduler, net: &PetriNet) -> &'a mut SymbolicContext {

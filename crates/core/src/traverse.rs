@@ -226,6 +226,19 @@ impl TraversalOptions {
         }
         governed.then_some(budget)
     }
+
+    /// These options with the time budget cut to what is left of it at
+    /// this instant, counted from `start` (`Duration::ZERO` once it has
+    /// passed). The phases of one query each take their options from
+    /// here, so the window bounds the whole query, not each phase.
+    pub(crate) fn remaining_since(self, start: Instant) -> TraversalOptions {
+        TraversalOptions {
+            time_budget: self
+                .time_budget
+                .map(|window| window.saturating_sub(start.elapsed())),
+            ..self
+        }
+    }
 }
 
 /// The outcome of a symbolic reachability traversal.
@@ -746,6 +759,28 @@ mod tests {
             },
             FixpointStrategy::Saturation,
         ]
+    }
+
+    #[test]
+    fn remaining_since_cuts_the_window_to_what_is_left_of_it() {
+        let start = Instant::now();
+        let window = |ms| TraversalOptions {
+            time_budget: Some(Duration::from_millis(ms)),
+            ..TraversalOptions::default()
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(
+            window(5).remaining_since(start).time_budget,
+            Some(Duration::ZERO)
+        );
+        let left = window(3_600_000).remaining_since(start).time_budget;
+        assert!(left.is_some_and(|d| d <= Duration::from_millis(3_600_000 - 10)));
+        assert_eq!(
+            TraversalOptions::default()
+                .remaining_since(start)
+                .time_budget,
+            None
+        );
     }
 
     #[test]

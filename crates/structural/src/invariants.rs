@@ -100,6 +100,9 @@ pub enum InvariantError {
         /// The configured limit.
         limit: usize,
     },
+    /// A weight or incidence entry of the tableau left the range of `i64`
+    /// (whose negation must fit as well).
+    Overflow,
 }
 
 impl fmt::Display for InvariantError {
@@ -108,6 +111,7 @@ impl fmt::Display for InvariantError {
             InvariantError::RowLimit { limit } => {
                 write!(f, "invariant tableau exceeded {limit} rows")
             }
+            InvariantError::Overflow => write!(f, "invariant weights overflowed i64"),
         }
     }
 }
@@ -135,15 +139,6 @@ fn gcd(a: i64, b: i64) -> i64 {
         b = r;
     }
     a
-}
-
-fn normalize(row: &mut [i64]) {
-    let g = row.iter().fold(0i64, |acc, &x| gcd(acc, x));
-    if g > 1 {
-        for x in row.iter_mut() {
-            *x /= g;
-        }
-    }
 }
 
 /// One row of the Farkas tableau: the remaining incidence part plus the
@@ -238,7 +233,8 @@ pub fn minimal_invariants(net: &PetriNet) -> Result<Vec<Invariant>, InvariantErr
 ///
 /// Returns [`InvariantError::RowLimit`] if the intermediate tableau exceeds
 /// `options.max_rows` rows (possible for nets whose minimal invariants are
-/// exponentially many).
+/// exponentially many), and [`InvariantError::Overflow`] if a weight leaves
+/// the range of `i64` (possible when weights double along a chain of forks).
 pub fn minimal_invariants_with(
     net: &PetriNet,
     options: InvariantOptions,
@@ -272,21 +268,37 @@ pub fn minimal_invariants_with(
                 let a = pos.incidence[t];
                 let b = -neg.incidence[t];
                 debug_assert!(a > 0 && b > 0);
-                let mut incidence: Vec<i64> = pos
+                // b·x + a·y, flagging a result outside the range whose
+                // negation fits (which `gcd` relies on).
+                let mut overflow = false;
+                let mut combine = |(x, y): (&i64, &i64)| {
+                    b.checked_mul(*x)
+                        .zip(a.checked_mul(*y))
+                        .and_then(|(bx, ay)| bx.checked_add(ay))
+                        .filter(|&v| v != i64::MIN)
+                        .unwrap_or_else(|| {
+                            overflow = true;
+                            0
+                        })
+                };
+                let incidence: Vec<i64> = pos
                     .incidence
                     .iter()
                     .zip(&neg.incidence)
-                    .map(|(x, y)| b * x + a * y)
+                    .map(&mut combine)
                     .collect();
-                debug_assert_eq!(incidence[t], 0);
-                let mut weights: Vec<i64> = pos
+                let weights: Vec<i64> = pos
                     .weights
                     .iter()
                     .zip(&neg.weights)
-                    .map(|(x, y)| b * x + a * y)
+                    .map(&mut combine)
                     .collect();
-                normalize(&mut incidence);
-                normalize(&mut weights);
+                if overflow {
+                    return Err(InvariantError::Overflow);
+                }
+                debug_assert_eq!(incidence[t], 0);
+                // One gcd for both parts: dividing them by separate gcds
+                // breaks `incidence = weights · C` for later columns.
                 new_rows.push(Row::new(incidence, weights));
                 if new_rows.len() > options.max_rows {
                     return Err(InvariantError::RowLimit {
@@ -331,6 +343,7 @@ mod tests {
         dme, figure1, jjreg, muller, philosophers, random_composed, slotted_ring, DmeStyle,
         JjregVariant, RandomNetConfig,
     };
+    use pnsym_net::NetBuilder;
     use std::collections::BTreeSet;
 
     /// The final minimality filter `minimal_invariants_with` used to run on
@@ -364,6 +377,55 @@ mod tests {
             "{}: the elimination loop left a non-minimal invariant",
             net.name()
         );
+    }
+
+    /// A chain of `n` doubling stages: `t.k` forks `a.k` into `a.(k+1)`
+    /// and `b.k`, and `u.k` joins `b.k` into `a.(k+1)`, so the net's one
+    /// invariant weighs `a.k` at `2^(n-k)`.
+    fn doubling_chain(n: usize) -> PetriNet {
+        let mut b = NetBuilder::new(format!("doubling-{n}"));
+        let mut a = b.place_marked("a.0");
+        for k in 0..n {
+            let next = b.place(format!("a.{}", k + 1));
+            let side = b.place(format!("b.{k}"));
+            b.transition(format!("t.{k}"), &[a], &[next, side]);
+            b.transition(format!("u.{k}"), &[side], &[next]);
+            a = next;
+        }
+        b.build().expect("a well-formed chain")
+    }
+
+    #[test]
+    fn weights_near_the_i64_limit_are_exact_and_beyond_it_a_typed_error() {
+        // 2^62 is i64::MAX / 2 + 1: still exact.
+        let net = doubling_chain(62);
+        let invariants = minimal_invariants(&net).expect("2^62 fits in i64");
+        assert_eq!(invariants.len(), 1);
+        assert_eq!(invariants[0].weights()[0], 1 << 62);
+        assert!(invariants[0].verify(&net));
+        // 2^63 does not fit: a typed error, never a wrapped weight.
+        assert_eq!(
+            minimal_invariants(&doubling_chain(63)),
+            Err(InvariantError::Overflow)
+        );
+    }
+
+    #[test]
+    fn a_row_whose_incidence_alone_shares_a_factor_stays_consistent() {
+        // Eliminating t0 combines p and q into a row with weights (1 1 0)
+        // and incidence (0 -2). Dividing the incidence alone by its gcd 2
+        // used to lose the factor, so eliminating t1 returned (1 1 1),
+        // which is no invariant.
+        let mut b = NetBuilder::new("split-gcd");
+        let p = b.place("p");
+        let q = b.place_marked("q");
+        let r = b.place("r");
+        b.transition("t0", &[q], &[p]);
+        b.transition("t1", &[p, q], &[r]);
+        let net = b.build().expect("a well-formed net");
+        let invariants = minimal_invariants(&net).expect("small weights");
+        assert_eq!(invariants, vec![Invariant::new(vec![1, 1, 2])]);
+        assert!(invariants[0].verify(&net));
     }
 
     #[test]
