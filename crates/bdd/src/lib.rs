@@ -58,5 +58,5 @@ pub use budget::{FaultSchedule, FaultSite};
 pub use isop::Cube;
 pub use manager::{BddManager, ManagerStats, OpCacheStats, Ref, VarId};
 pub use reorder::SiftConfig;
-pub use transfer::{snapshot_checksum, SerializedBdd, SnapshotError};
+pub use transfer::SerializedBdd;
 pub use zdd::{ZddManager, ZddRef, ZddUpdate, ZddUpdateAction};

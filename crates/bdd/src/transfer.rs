@@ -1,5 +1,5 @@
 //! Subgraph transfer between managers: a compact, manager-independent
-//! serialization of a set of BDD roots, used by the daemon's snapshots to
+//! node slice of a set of BDD roots, used by the daemon's snapshots to
 //! persist reached sets and restore them into a fresh manager.
 //!
 //! A [`SerializedBdd`] is a bottom-up node-arena slice: children always
@@ -13,117 +13,14 @@
 //! reduction rules, so an imported root is canonical in the destination
 //! manager (regular then-edges included) and shares structure with
 //! everything already there.
+//!
+//! The kernel defines no byte format. A slice comes either from
+//! [`BddManager::export_subgraph`] or from [`SerializedBdd::from_parts`],
+//! which validates parts read back from storage; how the parts sit on disk
+//! is the snapshot store's concern.
 
 use crate::manager::{BddManager, Node, Ref, VarId, TERMINAL};
 use std::collections::HashMap;
-use std::fmt;
-
-/// Why a snapshot byte stream was rejected by
-/// [`SerializedBdd::from_bytes`]. Every hostile input maps to one of these
-/// variants — decoding never panics and never allocates proportionally to
-/// unvalidated length fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The stream ended before the announced content.
-    Truncated,
-    /// The leading magic bytes are not a pnsym BDD snapshot.
-    BadMagic,
-    /// The format version is newer (or older) than this build understands.
-    UnsupportedVersion(u32),
-    /// The trailing checksum does not match the stream contents.
-    ChecksumMismatch,
-    /// The stream decodes structurally but violates an invariant of the
-    /// postorder slice (bad level, forward edge reference, complemented
-    /// then-edge, duplicate order entry).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::BadMagic => write!(f, "not a pnsym BDD snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot format version {v}")
-            }
-            SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
-            SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// Leading magic of the byte encoding ([`SerializedBdd::to_bytes`]).
-const SNAPSHOT_MAGIC: &[u8; 8] = b"PNSYBDD\0";
-/// Current format version written by [`SerializedBdd::to_bytes`].
-const SNAPSHOT_VERSION: u32 = 1;
-
-/// The splitmix64 finaliser, chained over the stream's 8-byte words to
-/// form the trailing checksum.
-fn mix(state: u64, value: u64) -> u64 {
-    let mut z = state
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(value);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Checksum of a byte stream: the splitmix64 finaliser chained over the
-/// length and every (zero-padded) 8-byte word. This is the integrity
-/// check of the [`SerializedBdd`] byte format, exposed so higher layers
-/// (e.g. a daemon's snapshot store) can frame their envelopes with the
-/// same primitive.
-pub fn snapshot_checksum(bytes: &[u8]) -> u64 {
-    checksum(bytes)
-}
-
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut state = mix(0x736e_6170, bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut word = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            word |= (b as u64) << (8 * i);
-        }
-        state = mix(state, word);
-    }
-    state
-}
-
-/// A bounds-checked little-endian reader over a snapshot byte stream.
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
 
 /// A manager-independent serialization of one or more BDD roots.
 ///
@@ -164,155 +61,66 @@ impl SerializedBdd {
         self.nodes.len()
     }
 
-    /// Number of serialized roots.
-    pub fn num_roots(&self) -> usize {
-        self.roots.len()
+    /// The nodes as `(level, low, high)` triples with packed-edge
+    /// children, children before parents.
+    pub fn nodes(&self) -> &[(u32, u32, u32)] {
+        &self.nodes
     }
 
-    /// Encodes the serialized set as a versioned, checksummed byte stream
-    /// suitable for durable storage: magic, format version, the caller's
-    /// `tag` (typically a canonical net hash the restorer verifies), the
-    /// variable order, the complement-edge-aware postorder node slice, the
-    /// roots, and a trailing splitmix64 checksum over everything before it.
-    /// All integers are little-endian.
-    pub fn to_bytes(&self, tag: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            SNAPSHOT_MAGIC.len()
-                + 24
-                + 4 * self.order.len()
-                + 12 * self.nodes.len()
-                + 4 * self.roots.len()
-                + 8,
-        );
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&tag.to_le_bytes());
-        out.extend_from_slice(&(self.order.len() as u32).to_le_bytes());
-        for &v in &self.order {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
-        for &(level, low, high) in &self.nodes {
-            out.extend_from_slice(&level.to_le_bytes());
-            out.extend_from_slice(&low.to_le_bytes());
-            out.extend_from_slice(&high.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.roots.len() as u32).to_le_bytes());
-        for &r in &self.roots {
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        let sum = checksum(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+    /// The roots as packed edges, in the order given to
+    /// [`BddManager::export_subgraph`].
+    pub fn roots(&self) -> &[u32] {
+        &self.roots
     }
 
-    /// Decodes a byte stream written by [`SerializedBdd::to_bytes`],
-    /// returning the caller's tag and the serialized set.
-    ///
-    /// The trailing checksum is verified *first*, so a torn, truncated or
-    /// bit-flipped stream is rejected before any length field is trusted;
-    /// the postorder invariants (levels strictly increase towards the
-    /// leaves, edges only reference earlier serials, then-edges regular)
-    /// are re-validated afterwards, so a decoded value is always safe to
-    /// hand to [`BddManager::import_subgraph`]. Never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<(u64, SerializedBdd), SnapshotError> {
-        // Checksum before anything else: every length field below is
-        // trusted only once the stream proves internally consistent.
-        if bytes.len() < SNAPSHOT_MAGIC.len() + 8 {
-            return Err(SnapshotError::Truncated);
-        }
-        if &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().expect("split of 8"));
-        if checksum(body) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-
-        let mut r = ByteReader {
-            bytes: body,
-            pos: SNAPSHOT_MAGIC.len(),
-        };
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let tag = r.u64()?;
-
-        let num_vars = r.u32()? as usize;
-        if num_vars > r.remaining() / 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut order = Vec::with_capacity(num_vars);
-        let mut seen = vec![false; num_vars];
-        for _ in 0..num_vars {
-            let v = r.u32()?;
-            match seen.get_mut(v as usize) {
+    /// Rebuilds a serialized set from its parts — the variable order, the
+    /// node triples and the root edges, as the accessors return them —
+    /// after checking every invariant [`BddManager::import_subgraph`]
+    /// relies on: the order is a permutation, each level is in range, a
+    /// child lies strictly below its parent, no edge points forward,
+    /// then-edges are regular and roots reference existing nodes. This is
+    /// how a set read back from untrusted storage becomes importable.
+    pub fn from_parts(
+        order: Vec<VarId>,
+        nodes: Vec<(u32, u32, u32)>,
+        roots: Vec<u32>,
+    ) -> Result<SerializedBdd, &'static str> {
+        let mut seen = vec![false; order.len()];
+        for v in &order {
+            match seen.get_mut(v.index()) {
                 Some(slot) if !*slot => *slot = true,
-                Some(_) => return Err(SnapshotError::Malformed("duplicate variable in order")),
-                None => return Err(SnapshotError::Malformed("variable id out of range")),
+                Some(_) => return Err("duplicate variable in order"),
+                None => return Err("variable id out of range"),
             }
-            order.push(v);
         }
-
-        let num_nodes = r.u32()? as usize;
-        if num_nodes > r.remaining() / 12 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut nodes = Vec::with_capacity(num_nodes);
-        for i in 0..num_nodes {
-            let level = r.u32()?;
-            let low = r.u32()?;
-            let high = r.u32()?;
-            if level as usize >= num_vars {
-                return Err(SnapshotError::Malformed("node level out of range"));
+        for (i, &(level, low, high)) in nodes.iter().enumerate() {
+            if level as usize >= order.len() {
+                return Err("node level out of range");
             }
             if high & 1 != 0 {
-                return Err(SnapshotError::Malformed("complemented then-edge"));
+                return Err("complemented then-edge");
             }
             // An edge may reference the terminal (serial 0) or any earlier
-            // node of the slice — children strictly precede parents, and
+            // node of the slice: children strictly precede parents, and
             // sit strictly deeper in the order.
             for e in [low, high] {
                 let serial = (e >> 1) as usize;
                 if serial > i {
-                    return Err(SnapshotError::Malformed("edge references a later node"));
+                    return Err("edge references a later node");
                 }
-                if serial != 0 {
-                    let (child_level, _, _): (u32, u32, u32) = nodes[serial - 1];
-                    if child_level <= level {
-                        return Err(SnapshotError::Malformed("child level not below parent"));
-                    }
+                if serial != 0 && nodes[serial - 1].0 <= level {
+                    return Err("child level not below parent");
                 }
             }
-            nodes.push((level, low, high));
         }
-
-        let num_roots = r.u32()? as usize;
-        if num_roots > r.remaining() / 4 {
-            return Err(SnapshotError::Truncated);
+        if roots.iter().any(|&e| (e >> 1) as usize > nodes.len()) {
+            return Err("root references a missing node");
         }
-        let mut roots = Vec::with_capacity(num_roots);
-        for _ in 0..num_roots {
-            let e = r.u32()?;
-            if ((e >> 1) as usize) > num_nodes {
-                return Err(SnapshotError::Malformed("root references a missing node"));
-            }
-            roots.push(e);
-        }
-        if r.remaining() != 0 {
-            return Err(SnapshotError::Malformed("trailing bytes after the roots"));
-        }
-
-        Ok((
-            tag,
-            SerializedBdd {
-                order,
-                nodes,
-                roots,
-            },
-        ))
+        Ok(SerializedBdd {
+            order: order.into_iter().map(|v| v.0).collect(),
+            nodes,
+            roots,
+        })
     }
 }
 
@@ -570,19 +378,23 @@ mod tests {
         m.and(a, b)
     }
 
+    /// Rebuilds `ser` through [`SerializedBdd::from_parts`], as a reader
+    /// of stored parts does.
+    fn through_parts(ser: &SerializedBdd) -> Result<SerializedBdd, &'static str> {
+        SerializedBdd::from_parts(ser.order(), ser.nodes().to_vec(), ser.roots().to_vec())
+    }
+
     #[test]
-    fn byte_encoding_round_trips_bit_identically() {
+    fn from_parts_restores_an_export_exactly() {
         let mut src = BddManager::with_vars(6);
         let f = sample(&mut src);
         let nf = src.not(f);
+        src.protect(f);
+        let v = src.variables();
+        src.reorder_to(&[v[5], v[3], v[1], v[0], v[2], v[4]]);
         let ser = src.export_subgraph(&[f, nf]);
-        let bytes = ser.to_bytes(0xfeed_beef_cafe_f00d);
-        let (tag, back) = SerializedBdd::from_bytes(&bytes).expect("clean decode");
-        assert_eq!(tag, 0xfeed_beef_cafe_f00d);
-        assert_eq!(back, ser, "decode restores the exact serialized value");
-        // Re-encoding the decoded value reproduces the bytes exactly.
-        assert_eq!(back.to_bytes(tag), bytes);
-        // And the decoded value imports like the original.
+        let back = through_parts(&ser).expect("an export is well formed");
+        assert_eq!(back, ser, "the parts restore the exact serialized value");
         let mut dst = matching_manager(&back);
         let roots = dst.import_subgraph(&back);
         assert_eq!(roots[1], dst.not(roots[0]));
@@ -592,86 +404,59 @@ mod tests {
     fn empty_and_constant_snapshots_round_trip() {
         let src = BddManager::with_vars(3);
         let ser = src.export_subgraph(&[src.one(), src.zero()]);
-        let bytes = ser.to_bytes(7);
-        let (tag, back) = SerializedBdd::from_bytes(&bytes).expect("decode");
-        assert_eq!(tag, 7);
-        assert_eq!(back, ser);
+        assert_eq!(through_parts(&ser), Ok(ser.clone()));
+        let none = src.export_subgraph(&[]);
+        assert_eq!(through_parts(&none), Ok(none));
     }
 
     #[test]
-    fn truncated_streams_are_rejected_at_every_length() {
-        let mut src = BddManager::with_vars(6);
-        let f = sample(&mut src);
-        let bytes = src.export_subgraph(&[f]).to_bytes(1);
-        for len in 0..bytes.len() {
-            let err = SerializedBdd::from_bytes(&bytes[..len])
-                .expect_err("every proper prefix must be rejected");
-            assert!(
-                matches!(
-                    err,
-                    SnapshotError::Truncated | SnapshotError::ChecksumMismatch
-                ),
-                "prefix of {len}: {err}"
-            );
+    fn from_parts_rejects_every_malformed_slice() {
+        let order = |ids: &[u32]| ids.iter().map(|&v| VarId(v)).collect::<Vec<_>>();
+        // Node 1 tests level 1 (edges to the constants); node 2 tests
+        // level 0 over node 1: a well-formed two-node slice to perturb.
+        let good = SerializedBdd::from_parts(order(&[0, 1]), vec![(1, 1, 0), (0, 1, 2)], vec![4]);
+        assert!(good.is_ok());
+        let cases = [
+            (
+                order(&[0, 0]),
+                vec![],
+                vec![0],
+                "duplicate variable in order",
+            ),
+            (order(&[0, 2]), vec![], vec![0], "variable id out of range"),
+            (
+                order(&[0, 1]),
+                vec![(2, 1, 0)],
+                vec![2],
+                "node level out of range",
+            ),
+            (
+                order(&[0, 1]),
+                vec![(1, 0, 1)],
+                vec![2],
+                "complemented then-edge",
+            ),
+            (
+                order(&[0, 1]),
+                vec![(0, 4, 2)],
+                vec![2],
+                "edge references a later node",
+            ),
+            (
+                order(&[0, 1]),
+                vec![(1, 1, 0), (1, 1, 2)],
+                vec![4],
+                "child level not below parent",
+            ),
+            (
+                order(&[0, 1]),
+                vec![(1, 1, 0)],
+                vec![4],
+                "root references a missing node",
+            ),
+        ];
+        for (order, nodes, roots, why) in cases {
+            assert_eq!(SerializedBdd::from_parts(order, nodes, roots), Err(why));
         }
-    }
-
-    #[test]
-    fn bit_flips_are_rejected_never_panic() {
-        let mut src = BddManager::with_vars(6);
-        let f = sample(&mut src);
-        let bytes = src.export_subgraph(&[f]).to_bytes(99);
-        for i in 0..bytes.len() {
-            for bit in [0u8, 3, 7] {
-                let mut corrupt = bytes.clone();
-                corrupt[i] ^= 1 << bit;
-                assert!(
-                    SerializedBdd::from_bytes(&corrupt).is_err(),
-                    "flipping byte {i} bit {bit} must be detected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn version_and_magic_are_enforced() {
-        let src = BddManager::with_vars(2);
-        let ser = src.export_subgraph(&[src.one()]);
-        let good = ser.to_bytes(0);
-
-        let mut wrong_magic = good.clone();
-        wrong_magic[0] = b'X';
-        assert_eq!(
-            SerializedBdd::from_bytes(&wrong_magic),
-            Err(SnapshotError::BadMagic)
-        );
-
-        // A future version with a correctly recomputed checksum is still
-        // refused as unsupported, not misparsed.
-        let mut future = good.clone();
-        future[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let body_len = future.len() - 8;
-        let sum = super::checksum(&future[..body_len]);
-        future[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            SerializedBdd::from_bytes(&future),
-            Err(SnapshotError::UnsupportedVersion(2))
-        );
-    }
-
-    #[test]
-    fn structural_invariants_are_revalidated_after_the_checksum() {
-        // Hand-build a stream whose checksum is valid but whose node slice
-        // references a later node: decode must reject it as malformed.
-        let bogus = SerializedBdd {
-            order: vec![0, 1],
-            nodes: vec![(0, 4, 2)], // low edge -> serial 2: nonexistent
-            roots: vec![2],
-        };
-        let bytes = bogus.to_bytes(0);
-        assert!(matches!(
-            SerializedBdd::from_bytes(&bytes),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 }

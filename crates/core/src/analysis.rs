@@ -224,6 +224,7 @@ pub fn analyze(net: &PetriNet, options: &AnalysisOptions) -> Result<AnalysisRepo
     let encoding_time = start.elapsed();
 
     let mut ctx = SymbolicContext::new(net, encoding);
+    let traversal_start = Instant::now();
     let mut result = ctx.reachable_markings_with(options.traversal);
     let mut degraded = None;
     if result.truncated == Some(TruncationReason::NodeBudget) {
@@ -235,11 +236,7 @@ pub fn analyze(net: &PetriNet, options: &AnalysisOptions) -> Result<AnalysisRepo
         ctx.manager_mut().unprotect(result.reached);
         ctx.manager_mut().collect_garbage();
         ctx.manager_mut().sift();
-        let retry = TraversalOptions {
-            strategy: FixpointStrategy::Saturation,
-            ..options.traversal
-        };
-        result = ctx.reachable_markings_with(retry);
+        result = ctx.reachable_markings_with(node_budget_retry(options.traversal, traversal_start));
         degraded = Some(DegradationStep::NodeBudgetRetry);
     }
     let dead = ctx.deadlocks_in(result.reached);
@@ -265,6 +262,17 @@ pub fn analyze(net: &PetriNet, options: &AnalysisOptions) -> Result<AnalysisRepo
         truncated: result.truncated,
         degraded,
     })
+}
+
+/// The options of the degraded retry after a node-budget breach: the
+/// strategy with the lowest peak node pressure, under what is left of the
+/// time window the first attempt opened at `traversal_start`, so the retry
+/// never carries the analysis past its deadline.
+fn node_budget_retry(traversal: TraversalOptions, traversal_start: Instant) -> TraversalOptions {
+    TraversalOptions {
+        strategy: FixpointStrategy::Saturation,
+        ..traversal.remaining_since(traversal_start)
+    }
 }
 
 /// The statistics of one ZDD-based (sparse) analysis run — the left-hand
@@ -398,6 +406,21 @@ mod tests {
         assert_eq!(report.truncated, Some(TruncationReason::NodeBudget));
         assert_eq!(report.strategy, FixpointStrategy::Saturation);
         assert!(report.num_markings <= expected);
+    }
+
+    #[test]
+    fn the_node_budget_retry_gets_only_what_is_left_of_the_window() {
+        let first = TraversalOptions {
+            time_budget: Some(Duration::from_millis(5)),
+            node_budget: Some(1),
+            ..TraversalOptions::default()
+        };
+        let traversal_start = Instant::now();
+        std::thread::sleep(Duration::from_millis(10));
+        let retry = node_budget_retry(first, traversal_start);
+        assert_eq!(retry.time_budget, Some(Duration::ZERO), "no fresh window");
+        assert_eq!(retry.node_budget, Some(1));
+        assert_eq!(retry.strategy, FixpointStrategy::Saturation);
     }
 
     #[test]

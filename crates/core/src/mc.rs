@@ -746,6 +746,7 @@ impl SymbolicContext {
 mod tests {
     use super::*;
     use crate::encoding::{AssignmentStrategy, Encoding};
+    use crate::explicit::ExplicitChecker;
     use crate::traverse::FixpointStrategy;
     use pnsym_net::nets::{
         dme, figure1, muller, philosophers, random_composed, slotted_ring, DmeStyle,
@@ -799,7 +800,12 @@ mod tests {
 
     #[test]
     fn chained_eu_and_dual_au_equal_their_oracles() {
+        // philosophers(2) has reachable deadlocks, so the dual AU meets the
+        // vacuous deadlock convention there.
         let mut nets = vec![
+            figure1(),
+            philosophers(2),
+            dme(3, DmeStyle::Spec),
             philosophers(6),
             slotted_ring(6),
             muller(8),
@@ -988,49 +994,71 @@ mod tests {
 
     #[test]
     fn until_operators_satisfy_the_classical_identities() {
+        // The expansion laws, checked through the one-step `EX`/`AX`
+        // rather than the chained sweep or the duality that compute EU,
+        // AU and EG.
         for net in [figure1(), philosophers(2), dme(3, DmeStyle::Spec)] {
             let mut ctx = dense_ctx(&net);
             let reached = ctx.reachable_markings().reached;
-            let target = {
-                let p = net.places().next().unwrap();
-                let chi = ctx.place_fn(p);
+            let n = net.num_places();
+            let [p, q] = [0, n / 2].map(|i| {
+                let chi = ctx.place_fn(PlaceId(i as u32));
                 ctx.manager_mut().and(chi, reached)
-            };
-            let one = ctx.manager().one();
-            // EF p = E[true U p] and AF p = A[true U p].
-            let ef = ctx.ef(target, reached);
-            let eu = ctx.eu(one, target, reached);
-            assert_eq!(ef, eu, "{}: EF = E[true U .]", net.name());
-            let af = ctx.af(target, reached);
-            let au = ctx.au(one, target, reached);
-            assert_eq!(af, au, "{}: AF = A[true U .]", net.name());
+            });
+            let not_p = ctx.manager_mut().diff(reached, p);
+            for hold in [reached, not_p] {
+                // E[h U q] = q ∨ (h ∧ EX E[h U q]).
+                let eu = ctx.eu(hold, q, reached);
+                let ex_eu = ctx.ex(eu, reached);
+                let step = ctx.manager_mut().and(hold, ex_eu);
+                let unfolded = ctx.manager_mut().or(q, step);
+                assert_eq!(eu, unfolded, "{}: EU expansion law", net.name());
+                // A[h U q] = q ∨ (h ∧ AX A[h U q]).
+                let au = ctx.au(hold, q, reached);
+                let ax_au = ctx.ax(au, reached);
+                let step = ctx.manager_mut().and(hold, ax_au);
+                let unfolded = ctx.manager_mut().or(q, step);
+                assert_eq!(au, unfolded, "{}: AU expansion law", net.name());
+                // EG h = h ∧ EX EG h.
+                let eg = ctx.eg(hold, reached);
+                let ex_eg = ctx.ex(eg, reached);
+                let unfolded = ctx.manager_mut().and(hold, ex_eg);
+                assert_eq!(eg, unfolded, "{}: EG expansion law", net.name());
+            }
         }
     }
 
     #[test]
     fn au_duality_holds_with_deadlocks() {
-        // A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q) must hold under the vacuous
-        // deadlock convention; philosophers(2) has reachable deadlocks, so
-        // this exercises the non-total relation case.
+        // The dual AU against the explicit-state checker on philosophers(2):
+        // philosopher 0 can eat forever while eating.1 never holds, which
+        // only the `EG` branch of the duality catches, and the reachable
+        // deadlocks satisfy `A[!eating.1 U eating.0]` vacuously.
         let net = philosophers(2);
+        let rg = net.explore().unwrap();
+        let checker = ExplicitChecker::new(&net, &rg);
         let mut ctx = dense_ctx(&net);
         let reached = ctx.reachable_markings().reached;
-        let p = {
-            let chi = ctx.place_fn(net.place_by_name("idle.0").unwrap());
+        let [idle0, eating0, eating1] = ["idle.0", "eating.0", "eating.1"].map(|name| {
+            let chi = ctx.place_fn(net.place_by_name(name).unwrap());
             ctx.manager_mut().and(chi, reached)
-        };
-        let q = {
-            let chi = ctx.place_fn(net.place_by_name("eating.1").unwrap());
-            ctx.manager_mut().and(chi, reached)
-        };
-        let au = ctx.au(p, q, reached);
-        let not_q = ctx.manager_mut().diff(reached, q);
-        let not_pq = ctx.manager_mut().diff(not_q, p);
-        let finite = ctx.eu(not_q, not_pq, reached);
-        let infinite = ctx.eg(not_q, reached);
-        let bad = ctx.manager_mut().or(finite, infinite);
-        let dual = ctx.manager_mut().diff(reached, bad);
-        assert_eq!(au, dual);
+        });
+        let not_eating1 = ctx.manager_mut().diff(reached, eating1);
+        for (hold, until, text) in [
+            (reached, eating1, "A[true U eating.1]"),
+            (idle0, eating1, "A[idle.0 U eating.1]"),
+            (not_eating1, eating0, "A[!eating.1 U eating.0]"),
+        ] {
+            let au = ctx.au(hold, until, reached);
+            let explicit = checker.sat(&Property::parse(text, &net).unwrap());
+            for (i, m) in rg.markings().iter().enumerate() {
+                assert_eq!(ctx.set_contains(au, m), explicit[i], "`{text}` at {m}");
+            }
+        }
+        let dead = ctx.deadlocks_in(reached);
+        assert_ne!(dead, ctx.manager().zero());
+        let au = ctx.au(not_eating1, eating0, reached);
+        assert_eq!(ctx.manager_mut().diff(dead, au), ctx.manager().zero());
     }
 
     #[test]

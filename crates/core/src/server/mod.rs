@@ -28,7 +28,7 @@ pub use proto::{
     Verdict,
 };
 pub use scheduler::{build_context, NetResolver, Scheduler, ServerConfig};
-pub use snapshot::{SnapshotRejection, SnapshotStore};
+pub use snapshot::{snapshot_checksum, SnapshotRejection, SnapshotStore};
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -376,11 +376,29 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// The splitmix64 finaliser of `state + value`, the one mixing function
+/// of the serving layer: chained, it hashes nets ([`canonical_net_hash`])
+/// and snapshot files ([`snapshot_checksum`]); applied once, it draws the
+/// client's backoff jitter and the disk-fault schedules.
+pub(crate) fn mix(state: u64, value: u64) -> u64 {
+    let mut z = state
+        .wrapping_add(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(value);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Chains [`mix`] over the length of `bytes`, then over each of its
+/// little-endian 8-byte words (the last one zero-padded).
+pub(crate) fn mix_bytes(mut state: u64, bytes: &[u8]) -> u64 {
+    state = mix(state, bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        state = mix(state, u64::from_le_bytes(word));
+    }
+    state
 }
 
 /// A blocking protocol client over one TCP connection, with connect/read
@@ -535,7 +553,7 @@ impl Client {
         let base = self.config.backoff_base.as_millis() as u64;
         let cap = self.config.backoff_cap.as_millis() as u64;
         let exp = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
-        let jitter = splitmix(self.config.jitter_seed ^ u64::from(attempt));
+        let jitter = mix(0, self.config.jitter_seed ^ u64::from(attempt));
         let scaled = exp / 2 + (exp / 2).min(jitter % (exp / 2 + 1));
         Duration::from_millis(scaled.max(hint_ms.unwrap_or(0)))
     }

@@ -1,8 +1,8 @@
 //! Durable snapshots of warm serving state: the daemon's crash-recovery
 //! layer.
 //!
-//! Two kinds of files live in the `--snapshot-dir`, both wrapped in the
-//! same checksummed envelope around a [`SerializedBdd`] byte blob:
+//! Two kinds of files live in the `--snapshot-dir`, both in the same
+//! checksummed envelope around a [`SerializedBdd`] node slice:
 //!
 //! * **Warm snapshots** (`warm-<hash>.pnsnap`) — one per pooled net: the
 //!   net's canonical hash, its spec string, and the context's one
@@ -18,14 +18,28 @@
 //!   is deleted when the fixpoint completes.
 //!
 //! Either kind carries exactly one entry and one root: there is one
-//! reached set per context, independent of the traversal strategy. An
-//! older multi-entry file is a typed rejection and is rebuilt cold.
+//! reached set per context, independent of the traversal strategy. The
+//! store owns the only byte layout of a snapshot; all integers are
+//! little-endian:
+//!
+//! ```text
+//! magic "PNSYMDS\0" · version u32 · kind u8 · net hash u64 · spec
+//! entry count u32 (always 1) · strategy · marking count (f64 bits) · passes u64
+//! order: u32 count, then one u32 variable id per level, top first
+//! nodes: u32 count, then (level, low, high) u32 triples, children first
+//! root: u32 packed edge
+//! checksum u64 over everything before it (snapshot_checksum)
+//! ```
+//!
+//! Strings are a u32 byte length and UTF-8 bytes. A version-1 file, which
+//! wrapped the slice in a second blob with its own magic, version, tag and
+//! checksum, is a typed rejection and is rebuilt cold.
 //!
 //! Every write is atomic — write to a temp file, `fsync`, rename — so a
 //! `kill -9` at any instant leaves either the previous file or the new
 //! one, never a readable torn file. Every read validates the trailing
 //! checksum *before* trusting any length field, then re-validates the
-//! structural invariants of the embedded BDD slice; any mismatch is a
+//! node slice through [`SerializedBdd::from_parts`]; any mismatch is a
 //! typed [`SnapshotRejection`], the offending file is deleted, and the
 //! caller degrades to a cold rebuild. No input, however corrupt, panics.
 //!
@@ -35,20 +49,20 @@
 //! and corrupt-on-read bit flips at these sites, which is how the
 //! disk-fault matrix exercises the degradation paths.
 
+use super::mix_bytes;
 use super::pool::WarmContext;
 use crate::context::SymbolicContext;
 use crate::traverse::{FixpointStrategy, ParseStrategyError, ReachabilityResult};
-use pnsym_bdd::{snapshot_checksum, Ref, SerializedBdd, SnapshotError};
+use pnsym_bdd::{Ref, SerializedBdd, VarId};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Magic prefix of the store's envelope (distinct from the inner
-/// [`SerializedBdd`] blob's own magic).
+/// Magic prefix of a snapshot file.
 const STORE_MAGIC: &[u8; 8] = b"PNSYMDS\0";
-/// Envelope format version.
-const STORE_VERSION: u32 = 1;
+/// Snapshot format version.
+const STORE_VERSION: u32 = 2;
 const KIND_WARM: u8 = 1;
 const KIND_CHECKPOINT: u8 = 2;
 
@@ -59,12 +73,11 @@ pub enum SnapshotRejection {
     /// Reading the file failed at the I/O level.
     Io(io::Error),
     /// The envelope is malformed: bad magic, checksum mismatch, torn or
-    /// trailing bytes, a bad length field, non-UTF-8 text.
+    /// trailing bytes, a bad length field, non-UTF-8 text, or a node slice
+    /// that fails [`SerializedBdd::from_parts`].
     Envelope(&'static str),
     /// The envelope's format version is not understood.
     Version(u32),
-    /// The embedded BDD blob failed its own validation.
-    Bdd(SnapshotError),
     /// The snapshot does not match the live state it would restore into:
     /// wrong net hash, wrong variable count, an unknown strategy name, or
     /// a restored reached set whose marking count disagrees with the one
@@ -78,7 +91,6 @@ impl std::fmt::Display for SnapshotRejection {
             SnapshotRejection::Io(err) => write!(f, "i/o error: {err}"),
             SnapshotRejection::Envelope(what) => write!(f, "malformed envelope: {what}"),
             SnapshotRejection::Version(v) => write!(f, "unsupported snapshot version {v}"),
-            SnapshotRejection::Bdd(err) => write!(f, "bad BDD blob: {err}"),
             SnapshotRejection::Mismatch(what) => write!(f, "snapshot/state mismatch: {what}"),
         }
     }
@@ -95,7 +107,7 @@ struct RawEntry {
     iterations: u64,
 }
 
-/// A fully decoded (and checksum-verified) snapshot file.
+/// A fully decoded (checksum-verified, slice-validated) snapshot file.
 struct Payload {
     kind: u8,
     net_hash: u64,
@@ -154,8 +166,15 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn encode(kind: u8, net_hash: u64, spec: &str, entry: &RawEntry, blob: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(blob.len() + 256);
+/// The checksum that closes every snapshot file: the serving layer's
+/// `mix` chained over the length and the 8-byte words of everything
+/// before it.
+pub fn snapshot_checksum(bytes: &[u8]) -> u64 {
+    mix_bytes(0x736e_6170, bytes)
+}
+
+fn encode(kind: u8, net_hash: u64, spec: &str, entry: &RawEntry, bdd: &SerializedBdd) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256 + 4 * bdd.num_vars() + 12 * bdd.num_nodes());
     out.extend_from_slice(STORE_MAGIC);
     push_u32(&mut out, STORE_VERSION);
     out.push(kind);
@@ -165,8 +184,17 @@ fn encode(kind: u8, net_hash: u64, spec: &str, entry: &RawEntry, blob: &[u8]) ->
     push_str(&mut out, &entry.strategy);
     push_u64(&mut out, entry.num_markings.to_bits());
     push_u64(&mut out, entry.iterations);
-    push_u32(&mut out, blob.len() as u32);
-    out.extend_from_slice(blob);
+    push_u32(&mut out, bdd.num_vars() as u32);
+    for v in bdd.order() {
+        push_u32(&mut out, v.0);
+    }
+    push_u32(&mut out, bdd.num_nodes() as u32);
+    for &(level, low, high) in bdd.nodes() {
+        push_u32(&mut out, level);
+        push_u32(&mut out, low);
+        push_u32(&mut out, high);
+    }
+    push_u32(&mut out, bdd.roots()[0]);
     let sum = snapshot_checksum(&out);
     push_u64(&mut out, sum);
     out
@@ -176,9 +204,13 @@ fn decode(bytes: &[u8]) -> Result<Payload, SnapshotRejection> {
     if bytes.len() < STORE_MAGIC.len() + 8 {
         return Err(SnapshotRejection::Envelope("file too short"));
     }
+    if !bytes.starts_with(STORE_MAGIC) {
+        return Err(SnapshotRejection::Envelope("bad magic"));
+    }
     // Verify the trailing checksum over the whole body *first*: after this
     // every length field is trusted-as-written, and a torn or bit-flipped
-    // file cannot steer the parse.
+    // file cannot steer the parse. A forged length still cannot allocate
+    // past the file: every record is read before it is stored.
     let (body, stored) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(stored.try_into().unwrap());
     if snapshot_checksum(body) != stored {
@@ -186,11 +218,8 @@ fn decode(bytes: &[u8]) -> Result<Payload, SnapshotRejection> {
     }
     let mut r = Reader {
         bytes: body,
-        pos: 0,
+        pos: STORE_MAGIC.len(),
     };
-    if r.take(STORE_MAGIC.len())? != STORE_MAGIC {
-        return Err(SnapshotRejection::Envelope("bad magic"));
-    }
     let version = r.u32()?;
     if version != STORE_VERSION {
         return Err(SnapshotRejection::Version(version));
@@ -211,22 +240,20 @@ fn decode(bytes: &[u8]) -> Result<Payload, SnapshotRejection> {
         num_markings: f64::from_bits(r.u64()?),
         iterations: r.u64()?,
     };
-    let blob_len = r.u32()? as usize;
-    let blob = r.take(blob_len)?;
+    let num_vars = r.u32()?;
+    let order = (0..num_vars)
+        .map(|_| r.u32().map(VarId))
+        .collect::<Result<_, _>>()?;
+    let num_nodes = r.u32()?;
+    let nodes = (0..num_nodes)
+        .map(|_| Ok((r.u32()?, r.u32()?, r.u32()?)))
+        .collect::<Result<_, _>>()?;
+    let root = r.u32()?;
     if r.remaining() != 0 {
         return Err(SnapshotRejection::Envelope("trailing bytes"));
     }
-    let (tag, bdd) = SerializedBdd::from_bytes(blob).map_err(SnapshotRejection::Bdd)?;
-    if tag != net_hash {
-        return Err(SnapshotRejection::Envelope(
-            "BDD blob tag disagrees with the envelope's net hash",
-        ));
-    }
-    if bdd.num_roots() != 1 {
-        return Err(SnapshotRejection::Envelope(
-            "root count disagrees with the entry count",
-        ));
-    }
+    let bdd =
+        SerializedBdd::from_parts(order, nodes, vec![root]).map_err(SnapshotRejection::Envelope)?;
     Ok(Payload {
         kind,
         net_hash,
@@ -318,10 +345,7 @@ impl DiskFaultSchedule {
     /// Derives a schedule from a seed: one site armed at a small event
     /// index via a splitmix64 draw, so a seed sweep covers every site.
     pub fn from_seed(seed: u64) -> Self {
-        let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
+        let x = super::mix(0, seed);
         let site = DiskFaultSite::from_index((x as usize) % DiskFaultSite::COUNT);
         let nth = ((x >> 8) % 3) as u32;
         DiskFaultSchedule::default().trip(site, nth)
@@ -433,17 +457,13 @@ impl SnapshotStore {
         let Some(run) = entry.context().memoized_reached() else {
             return Ok(false);
         };
-        let blob = entry
-            .context()
-            .manager()
-            .export_subgraph(&[run.reached])
-            .to_bytes(entry.key());
+        let bdd = entry.context().manager().export_subgraph(&[run.reached]);
         let record = RawEntry {
             strategy: run.strategy.to_string(),
             num_markings: run.num_markings,
             iterations: run.iterations as u64,
         };
-        let bytes = encode(KIND_WARM, entry.key(), entry.spec(), &record, &blob);
+        let bytes = encode(KIND_WARM, entry.key(), entry.spec(), &record, &bdd);
         self.write_atomic(&self.warm_path(entry.key()), &bytes)?;
         Ok(true)
     }
@@ -561,13 +581,13 @@ impl SnapshotStore {
         reached: Ref,
         iterations: usize,
     ) -> io::Result<()> {
-        let blob = ctx.manager().export_subgraph(&[reached]).to_bytes(key);
+        let bdd = ctx.manager().export_subgraph(&[reached]);
         let record = RawEntry {
             strategy: strategy.to_string(),
             num_markings: 0.0,
             iterations: iterations as u64,
         };
-        let bytes = encode(KIND_CHECKPOINT, key, spec, &record, &blob);
+        let bytes = encode(KIND_CHECKPOINT, key, spec, &record, &bdd);
         self.write_atomic(&self.ckpt_path(key), &bytes)
     }
 
@@ -617,10 +637,157 @@ impl SnapshotStore {
     }
 }
 
-#[cfg(all(test, feature = "fault-inject"))]
+#[cfg(test)]
 mod tests {
     use super::*;
+    use pnsym_bdd::BddManager;
 
+    /// A small slice and its encoding as a warm snapshot of net `net`
+    /// under strategy `bfs`.
+    fn sample() -> (SerializedBdd, Vec<u8>) {
+        let mut m = BddManager::with_vars(4);
+        let v = m.variables();
+        let (a, b, c) = (m.var(v[0]), m.var(v[1]), m.nvar(v[2]));
+        let ab = m.and(a, b);
+        let f = m.or(ab, c);
+        let bdd = m.export_subgraph(&[f]);
+        let entry = RawEntry {
+            strategy: "bfs".to_string(),
+            num_markings: 5.0,
+            iterations: 3,
+        };
+        let bytes = encode(KIND_WARM, 0xfeed_beef_cafe_f00d, "net", &entry, &bdd);
+        (bdd, bytes)
+    }
+
+    /// Where the variable order of [`sample`] starts: magic, version,
+    /// kind, net hash, spec, entry count, strategy, marking and pass count.
+    const ORDER_AT: usize = 8 + 4 + 1 + 8 + (4 + 3) + 4 + (4 + 3) + 8 + 8;
+    /// Where its node triples start: after the order of four variables.
+    const NODES_AT: usize = ORDER_AT + 4 + 4 * 4 + 4;
+
+    /// `bytes` with its checksum dropped, `edit` applied and a valid
+    /// checksum appended, so only the edit can be at fault.
+    fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = bytes[..bytes.len() - 8].to_vec();
+        edit(&mut body);
+        let sum = snapshot_checksum(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    fn rejection(bytes: &[u8]) -> SnapshotRejection {
+        match decode(bytes) {
+            Ok(_) => panic!("a hostile file was accepted"),
+            Err(err) => err,
+        }
+    }
+
+    #[test]
+    fn snapshot_checksum_keeps_its_values() {
+        assert_eq!(snapshot_checksum(b""), 0x5f57_4997_4103_3812);
+        assert_eq!(snapshot_checksum(b"pnsym snapshot"), 0xa9e5_61cc_e72e_205a);
+    }
+
+    #[test]
+    fn byte_encoding_round_trips_bit_identically() {
+        let (bdd, bytes) = sample();
+        let payload = decode(&bytes).expect("clean decode");
+        assert_eq!(payload.kind, KIND_WARM);
+        assert_eq!(payload.net_hash, 0xfeed_beef_cafe_f00d);
+        assert_eq!(payload.spec, "net");
+        assert_eq!(payload.entry.strategy, "bfs");
+        assert_eq!(payload.entry.num_markings, 5.0);
+        assert_eq!(payload.entry.iterations, 3);
+        assert_eq!(payload.bdd, bdd, "decode restores the exact slice");
+        let again = encode(
+            payload.kind,
+            payload.net_hash,
+            &payload.spec,
+            &payload.entry,
+            &payload.bdd,
+        );
+        assert_eq!(again, bytes, "re-encoding reproduces the bytes");
+    }
+
+    #[test]
+    fn truncated_streams_are_rejected_at_every_length() {
+        let (_, bytes) = sample();
+        for len in 0..bytes.len() {
+            assert!(
+                matches!(rejection(&bytes[..len]), SnapshotRejection::Envelope(_)),
+                "prefix of {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn bit_flips_are_rejected_never_panic() {
+        let (_, bytes) = sample();
+        for i in 0..bytes.len() {
+            for bit in [0u8, 3, 7] {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 1 << bit;
+                assert!(
+                    decode(&corrupt).is_err(),
+                    "flipping byte {i} bit {bit} must be detected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn version_and_magic_are_enforced() {
+        let (_, bytes) = sample();
+        let mut wrong_magic = bytes.clone();
+        wrong_magic[0] = b'X';
+        assert!(matches!(
+            rejection(&wrong_magic),
+            SnapshotRejection::Envelope("bad magic")
+        ));
+        // An older or newer version with a valid checksum is refused as
+        // unsupported, not misparsed.
+        for version in [1u32, 3] {
+            let other = resealed(&bytes, |b| {
+                b[8..12].copy_from_slice(&version.to_le_bytes());
+            });
+            assert!(
+                matches!(rejection(&other), SnapshotRejection::Version(v) if v == version),
+                "version {version}"
+            );
+        }
+    }
+
+    #[test]
+    fn structural_invariants_are_revalidated_after_the_checksum() {
+        let (_, bytes) = sample();
+        // Each file below carries a valid checksum over a malformed body.
+        let cases: [(Vec<u8>, &str); 3] = [
+            (
+                // The first node's low edge names serial 2, a later node.
+                resealed(&bytes, |b| {
+                    b[NODES_AT + 4..NODES_AT + 8].copy_from_slice(&4u32.to_le_bytes());
+                }),
+                "edge references a later node",
+            ),
+            (
+                // Level 1 names the variable of level 0 again.
+                resealed(&bytes, |b| {
+                    b.copy_within(ORDER_AT + 4..ORDER_AT + 8, ORDER_AT + 8)
+                }),
+                "duplicate variable in order",
+            ),
+            (resealed(&bytes, |b| b.push(0)), "trailing bytes"),
+        ];
+        for (file, why) in cases {
+            assert!(
+                matches!(rejection(&file), SnapshotRejection::Envelope(what) if what == why),
+                "{why}"
+            );
+        }
+    }
+
+    #[cfg(feature = "fault-inject")]
     #[test]
     fn disk_fault_schedule_counts_events_and_disarms() {
         let mut s = DiskFaultSchedule::none().trip(DiskFaultSite::ShortWrite, 2);
@@ -634,6 +801,7 @@ mod tests {
         assert!(!s.is_armed());
     }
 
+    #[cfg(feature = "fault-inject")]
     #[test]
     fn seeded_disk_schedules_are_deterministic_and_cover_sites() {
         assert_eq!(

@@ -3,13 +3,13 @@
 //! Pins the full crash-safety story at the library level:
 //!
 //! * warm snapshots round-trip bit-identically (random nets × strategies,
-//!   re-exported reached-set bytes equal to the originals), and the bytes
-//!   they persist depend neither on the context nor on the strategy that
-//!   computed the reached set;
+//!   re-exported reached-set slices equal to the originals), and the
+//!   slices they persist depend neither on the context nor on the strategy
+//!   that computed the reached set;
 //! * torn, truncated and bit-flipped snapshot files are always rejected
 //!   with a typed reason — never a panic — and deleted, so the next query
 //!   degrades to a cold rebuild; so is a snapshot naming a retired
-//!   strategy;
+//!   strategy, and one written in the older version-1 layout;
 //! * a fixpoint checkpointed at pass boundaries resumes after a simulated
 //!   crash and converges to the *same* fixpoint, bit-identical to a cold
 //!   run;
@@ -24,13 +24,13 @@
 //!   connections as typed connect errors, and rides out a dropped
 //!   connection by reconnecting and resending the same idempotent request.
 
-use pnsym::bdd::{snapshot_checksum, Ref};
+use pnsym::bdd::{Ref, SerializedBdd};
 use pnsym::net::nets::{self, property_suite};
 use pnsym::net::PetriNet;
 use pnsym::server::{
-    build_context, canonical_net_hash, serve, Client, ClientConfig, ClientError, ErrorCode,
-    NetResolver, PoolOutcome, Request, Response, ServerConfig, ServerHandle, SnapshotRejection,
-    SnapshotStore, Verdict, WarmContext,
+    build_context, canonical_net_hash, serve, snapshot_checksum, Client, ClientConfig, ClientError,
+    ErrorCode, NetResolver, PoolOutcome, Request, Response, ServerConfig, ServerHandle,
+    SnapshotRejection, SnapshotStore, Verdict, WarmContext,
 };
 use pnsym::{FixpointStrategy, SymbolicContext, TraversalOptions};
 use proptest::prelude::*;
@@ -52,8 +52,8 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn export_bytes(ctx: &SymbolicContext, root: Ref, tag: u64) -> Vec<u8> {
-    ctx.manager().export_subgraph(&[root]).to_bytes(tag)
+fn export(ctx: &SymbolicContext, root: Ref) -> SerializedBdd {
+    ctx.manager().export_subgraph(&[root])
 }
 
 fn test_net(pick: usize) -> (&'static str, PetriNet) {
@@ -113,7 +113,7 @@ proptest! {
 
     /// A warm snapshot restores into a fresh context with the same marking
     /// count, and re-exporting the restored reached set reproduces the
-    /// original serialized bytes exactly (complement edges included).
+    /// original node slice exactly (complement edges included).
     #[test]
     fn warm_snapshots_round_trip_bit_identically(net_pick in 0usize..4, strat_pick in 0usize..3) {
         let (spec, net) = test_net(net_pick);
@@ -125,7 +125,7 @@ proptest! {
         let run = entry.context_mut().reachable_markings_with(options);
         prop_assert!(run.truncated.is_none());
         entry.store_reached(strategy, run);
-        let original = export_bytes(entry.context(), run.reached, key);
+        let original = export(entry.context(), run.reached);
 
         let dir = scratch_dir(&format!("roundtrip-{net_pick}-{strat_pick}"));
         let mut store = SnapshotStore::open(&dir).expect("open store");
@@ -141,7 +141,7 @@ proptest! {
         prop_assert_eq!(restored_strategy, strategy);
         prop_assert_eq!(restored_run.num_markings, run.num_markings);
         prop_assert_eq!(restored_run.iterations, run.iterations);
-        let reexported = export_bytes(&fresh, restored_run.reached, key);
+        let reexported = export(&fresh, restored_run.reached);
         prop_assert_eq!(original, reexported);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -194,10 +194,10 @@ proptest! {
     }
 }
 
-/// The bytes a snapshot persists are a function of the reached set alone:
+/// The slice a snapshot persists is a function of the reached set alone:
 /// two fresh contexts of each bundled family under the same strategy
-/// export identical bytes, and so do the `bfs` and `saturation` reached
-/// sets (levels, packed edges and complement bits included).
+/// export identical slices, and so do the `bfs` and `saturation` reached
+/// sets (order, levels, packed edges and complement bits included).
 #[test]
 fn reached_set_exports_are_byte_identical_across_contexts_and_strategies() {
     let families = [
@@ -213,7 +213,7 @@ fn reached_set_exports_are_byte_identical_across_contexts_and_strategies() {
             let mut ctx = build_context(net);
             let run = ctx.reachable_markings_with(TraversalOptions::with_strategy(strategy(name)));
             assert!(run.truncated.is_none(), "{}: {name}", net.name());
-            export_bytes(&ctx, run.reached, 0)
+            export(&ctx, run.reached)
         };
         let bfs = export("bfs");
         assert_eq!(bfs, export("bfs"), "{}: two bfs contexts", net.name());
@@ -337,6 +337,94 @@ fn multi_entry_warm_snapshot_is_rejected_typed() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A warm snapshot in the version-1 layout, which wrapped the slice in a
+/// second blob with its own magic, version, tag and checksum, is a typed
+/// `Version(1)` rejection: the file is deleted, no reached set is
+/// installed, and a daemon booted over it rebuilds the family cold.
+#[test]
+fn version_one_warm_snapshot_is_rejected_and_rebuilt_cold() {
+    fn put(out: &mut Vec<u8>, words: &[u32]) {
+        for w in words {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+    fn put_str(out: &mut Vec<u8>, s: &str) {
+        put(out, &[s.len() as u32]);
+        out.extend_from_slice(s.as_bytes());
+    }
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = snapshot_checksum(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+    let net = nets::figure1();
+    let key = canonical_net_hash(&net);
+    let mut ctx = build_context(&net);
+    let run = ctx.reachable_markings_with(TraversalOptions::with_strategy(strategy("bfs")));
+    let slice = export(&ctx, run.reached);
+
+    // The inner blob: magic, version, tag, order, nodes, roots, checksum.
+    let mut blob = b"PNSYBDD\0".to_vec();
+    put(&mut blob, &[1]);
+    blob.extend_from_slice(&key.to_le_bytes());
+    let order: Vec<u32> = slice.order().iter().map(|v| v.0).collect();
+    put(&mut blob, &[order.len() as u32]);
+    put(&mut blob, &order);
+    put(&mut blob, &[slice.nodes().len() as u32]);
+    for &(level, low, high) in slice.nodes() {
+        put(&mut blob, &[level, low, high]);
+    }
+    put(&mut blob, &[1, slice.roots()[0]]);
+    let blob = sealed(blob);
+    // The envelope: magic, version, kind, net hash, spec, one entry, then
+    // the length-prefixed blob and the outer checksum.
+    let mut file = b"PNSYMDS\0".to_vec();
+    put(&mut file, &[1]);
+    file.push(1);
+    file.extend_from_slice(&key.to_le_bytes());
+    put_str(&mut file, "figure1");
+    put(&mut file, &[1]);
+    put_str(&mut file, "bfs");
+    file.extend_from_slice(&run.num_markings.to_bits().to_le_bytes());
+    file.extend_from_slice(&(run.iterations as u64).to_le_bytes());
+    put(&mut file, &[blob.len() as u32]);
+    file.extend_from_slice(&blob);
+    let file = sealed(file);
+
+    let dir = scratch_dir("version-one");
+    let mut store = SnapshotStore::open(&dir).expect("open store");
+    let path = dir.join(format!("warm-{key:016x}.pnsnap"));
+    fs::write(&path, &file).expect("write version-1 snapshot");
+    let mut fresh = build_context(&net);
+    let rejection = store
+        .restore_warm(key, &mut fresh)
+        .expect("file exists")
+        .expect_err("a version-1 snapshot must be rejected");
+    assert!(
+        matches!(rejection, SnapshotRejection::Version(1)),
+        "{rejection}"
+    );
+    assert!(!path.exists(), "rejected snapshot is deleted");
+    assert!(fresh.memoized_reached().is_none());
+
+    fs::write(&path, &file).expect("write version-1 snapshot again");
+    let handle = boot(ServerConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let responses = client
+        .request(&suite_request(1, "figure1", &net))
+        .expect("cold rebuild");
+    let Some(Response::Done { pool, .. }) = responses.last() else {
+        panic!("stream ends in done: {responses:?}");
+    };
+    assert_eq!(*pool, PoolOutcome::Miss, "the old file is not served");
+    assert!(!verdicts(&responses).is_empty());
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Each retired strategy spelling is a terminal `request` error naming the
 /// surviving strategies, and the connection stays open for the next query.
 #[test]
@@ -397,7 +485,7 @@ fn checkpoint_resume_converges_to_the_cold_fixpoint() {
 
     let mut cold = build_context(&net);
     let cold_run = cold.reachable_markings_with(options);
-    let cold_bytes = export_bytes(&cold, cold_run.reached, key);
+    let cold_slice = export(&cold, cold_run.reached);
 
     // The "crashing" run: checkpoint at every pass boundary, then drop the
     // context on the floor. Only the on-disk checkpoint survives.
@@ -426,9 +514,9 @@ fn checkpoint_resume_converges_to_the_cold_fixpoint() {
     revived.manager_mut().unprotect(seed);
     assert_eq!(resumed.num_markings, cold_run.num_markings);
     assert!(resumed.iterations >= cold_run.iterations);
-    let resumed_bytes = export_bytes(&revived, resumed.reached, key);
+    let resumed_slice = export(&revived, resumed.reached);
     assert_eq!(
-        cold_bytes, resumed_bytes,
+        cold_slice, resumed_slice,
         "resumed fixpoint is bit-identical"
     );
 
@@ -444,8 +532,8 @@ fn checkpoint_resume_converges_to_the_cold_fixpoint() {
     fresh.manager_mut().unprotect(seed);
     assert_eq!(resumed.num_markings, cold_run.num_markings);
     assert_eq!(
-        cold_bytes,
-        export_bytes(&fresh, resumed.reached, key),
+        cold_slice,
+        export(&fresh, resumed.reached),
         "saturation resumed from a bfs checkpoint is bit-identical"
     );
 
