@@ -14,16 +14,26 @@
 //!
 //! # Fixpoints
 //!
-//! The least fixpoints `EF` and `EU` (and through `EF`, `AG`) *chain*, as
-//! the forward traversal does: a sweep walks the plan's backward cluster
-//! order and ORs each cluster's pre-image of the current set into it at
-//! once, so a state found early in the sweep is already a target for the
-//! clusters after it; the fixpoint is reached when a full sweep adds
-//! nothing. The greatest fixpoint `EG` takes one full backward step per
-//! iteration. `AF` and `AU` are evaluated through their duals
-//! (`AF q = ¬EG ¬q`, `A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q)`) as subterms of
-//! the evaluation pass's cache, so a portfolio holding both computes the
-//! `EG ¬q` core they share once, and their counterexamples read it back.
+//! `EF` (and through it `AG = ¬EF ¬`) *saturates* backwards, on the same
+//! [`FixpointStrategy::Saturation`] code forward reachability runs on:
+//! clusters are bucketed by the topmost level they write and fired
+//! bottom-up, each firing ORs the cluster's pre-image of the current set
+//! into it, and a cluster re-fires only when a productive firing of a
+//! cluster it feeds has re-dirtied it. Skipping a clean cluster is sound
+//! because the set `EF` ranges over, the reached set, is closed under
+//! successors (see `BackwardKernel`). Over a set that is not, the partial
+//! set of a truncated run, `EF` and `AG` take the chained `EU` instead.
+//!
+//! `EU` under an arbitrary `hold` *chains*: a sweep walks the plan's
+//! backward cluster order and ORs each cluster's pre-image of the current
+//! set, restricted to `hold`, into it at once, so a state found early in
+//! the sweep is already a target for the clusters after it; the fixpoint
+//! is reached when a full sweep adds nothing. The greatest fixpoint `EG`
+//! takes one full backward step per iteration. `AF` and `AU` are
+//! evaluated through their duals (`AF q = ¬EG ¬q`,
+//! `A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q)`) as subterms of the evaluation
+//! pass's cache, so a portfolio holding both computes the `EG ¬q` core
+//! they share once, and their counterexamples read it back.
 //!
 //! # Path semantics at deadlocks
 //!
@@ -42,7 +52,10 @@ use crate::context::SymbolicContext;
 use crate::plan::{ImageCluster, ImagePlan};
 use crate::property::Property;
 use crate::trace::WitnessTrace;
-use crate::traverse::{ReachabilityResult, TraversalOptions};
+use crate::traverse::{
+    run_fixpoint, BddFixpointKernel, FixpointKernel, FixpointStrategy, ReachabilityResult,
+    TraversalOptions,
+};
 use pnsym_bdd::{Interrupt, Ref, TruncationReason};
 use pnsym_net::TransitionId;
 use std::collections::HashMap;
@@ -116,6 +129,9 @@ struct SubtermCache {
     map: HashMap<Property, Ref>,
     hits: u64,
     lookups: u64,
+    /// Whether the pass's `within` set is closed under successors (a
+    /// complete reached set), so that `EF` and `AG` may saturate.
+    closed: bool,
 }
 
 /// Panic message of the infallible CTL wrappers when a budget trips under
@@ -134,6 +150,90 @@ fn backward_order(plan: &ImagePlan) -> impl Iterator<Item = usize> + '_ {
         .rev()
         .flatten()
         .copied()
+}
+
+/// The backward kernel of saturation: `EF` inside a set
+/// `within` closed under successors. It is the forward
+/// [`BddFixpointKernel`] turned round in three places, and shares its set
+/// algebra, protections and forced per-pass checkpoint:
+///
+/// * a cluster's "image" of `Z` is its pre-image of `Z`, restricted to
+///   `within`;
+/// * the feeds relation is transposed: firing `from` backwards can give
+///   `to` new predecessors to add only when `to`'s post-set meets
+///   `from`'s pre-set, i.e. when `to` feeds `from` forwards;
+/// * the clusters fire in [`backward_order`] within a level.
+///
+/// Skipping a clean cluster is sound for this reason. Say `to` was
+/// saturated when `from` added a state `s` with `s --from--> s'` and `s'`
+/// in `Z`, and `u --to--> s` for a `u` in `within`. If `to` does not feed
+/// `from`, the two firings commute (`to` leaves `from`'s pre-set marked
+/// and takes nothing from it): `u --from--> v --to--> s'`. `v` is a
+/// successor of `u`, so it lies in `within` because `within` is closed
+/// under successors; `to` was saturated, so `v` is in `Z`; and then `u`
+/// was added by the same firing of `from` that added `s`. Under an
+/// arbitrary `hold`, as in a general `EU`, `v` may leave `hold` and the
+/// argument fails, which is why [`SymbolicContext::try_eu`] chains.
+///
+/// `maintain` stays the no-op default: CTL evaluation holds unprotected
+/// operands, so no collection may run inside it.
+struct BackwardKernel<'a> {
+    forward: BddFixpointKernel<'a, 'a>,
+    within: Ref,
+}
+
+impl FixpointKernel for BackwardKernel<'_> {
+    type Set = Ref;
+
+    fn empty(&self) -> Ref {
+        self.forward.empty()
+    }
+
+    fn initial(&mut self) -> Ref {
+        self.forward.initial()
+    }
+
+    fn num_clusters(&self) -> usize {
+        self.forward.num_clusters()
+    }
+
+    fn cluster_sequence(&self) -> Vec<usize> {
+        backward_order(&self.forward.plan).collect()
+    }
+
+    fn cluster_top_level(&self, cluster: usize) -> u32 {
+        self.forward.cluster_top_level(cluster)
+    }
+
+    fn cluster_feeds(&self, from: usize, to: usize) -> bool {
+        self.forward.cluster_feeds(to, from)
+    }
+
+    fn cluster_image(&mut self, cluster: usize, z: Ref) -> Result<Ref, Interrupt> {
+        let ctx = &mut *self.forward.ctx;
+        let pre = ctx.try_cluster_pre_image(&self.forward.plan.clusters()[cluster], z)?;
+        ctx.manager_mut().try_and(pre, self.within)
+    }
+
+    fn union(&mut self, a: Ref, b: Ref) -> Result<Ref, Interrupt> {
+        self.forward.union(a, b)
+    }
+
+    fn diff(&mut self, a: Ref, b: Ref) -> Result<Ref, Interrupt> {
+        self.forward.diff(a, b)
+    }
+
+    fn checkpoint(&mut self) -> Result<(), Interrupt> {
+        self.forward.checkpoint()
+    }
+
+    fn protect(&mut self, s: Ref) {
+        self.forward.protect(s);
+    }
+
+    fn unprotect(&mut self, s: Ref) {
+        self.forward.unprotect(s);
+    }
 }
 
 /// The `EG ¬a` core of `AF a = ¬EG ¬a`, which is also the infinite branch
@@ -178,7 +278,10 @@ impl SymbolicContext {
     /// meaningful (the reached set is). The result is always a subset of
     /// `within`.
     pub fn sat_set(&mut self, property: &Property, within: Ref) -> Ref {
-        let mut cache = SubtermCache::default();
+        let mut cache = SubtermCache {
+            closed: true,
+            ..SubtermCache::default()
+        };
         let sat = self.sat_set_memo(property, within, &mut cache);
         self.drain(cache);
         sat.expect(GOVERNED_CTL)
@@ -272,14 +375,55 @@ impl SymbolicContext {
 
     /// CTL `EF target` restricted to `within` (least fixpoint of
     /// `target ∨ EX Z`): states of `within` that can reach `target`.
+    /// `within` must be closed under successors (see
+    /// [`SymbolicContext::try_ef`]).
     pub fn ef(&mut self, target: Ref, within: Ref) -> Ref {
         self.try_ef(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::ef`]: `E[true U target]`, computed by
-    /// the chained [`SymbolicContext::try_eu`].
+    /// Governed [`SymbolicContext::ef`], computed by backward saturation
+    /// on the same code forward reachability runs on: clusters are
+    /// bucketed by the topmost level they write and fired bottom-up, and
+    /// a cluster re-fires only when a productive firing of a cluster it
+    /// feeds re-dirties it. Skipping a clean cluster is sound only because
+    /// `within` is closed under successors (see `BackwardKernel`), so
+    /// `within` **must** be, as the reached set is. For any other
+    /// `within`, such as the partial set of a truncated run,
+    /// `E[within U target]` ([`SymbolicContext::try_eu`]) is the sound
+    /// form. The budget is force-checked at every pass, and on
+    /// every return the protections of the start set and of the growing
+    /// set are released.
     pub fn try_ef(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
-        self.try_eu(within, target, within)
+        let start = self.manager_mut().try_and(target, within)?;
+        self.manager_mut().protect(start);
+        let plan = self.image_plan();
+        let mut kernel = BackwardKernel {
+            forward: BddFixpointKernel {
+                ctx: self,
+                plan,
+                start,
+                observer: None,
+            },
+            within,
+        };
+        let run = run_fixpoint(&mut kernel, FixpointStrategy::Saturation, None);
+        self.manager_mut().unprotect(start);
+        self.manager_mut().unprotect(run.reached);
+        match run.truncated {
+            None => Ok(run.reached),
+            Some(reason) => Err(Interrupt::new(reason)),
+        }
+    }
+
+    /// `EF target` in `within` on the fixpoint that is sound there: the
+    /// saturated [`SymbolicContext::try_ef`] when `within` is `closed`
+    /// under successors, the chained `E[within U target]` otherwise.
+    fn try_ef_in(&mut self, target: Ref, within: Ref, closed: bool) -> Result<Ref, Interrupt> {
+        if closed {
+            self.try_ef(target, within)
+        } else {
+            self.try_eu(within, target, within)
+        }
     }
 
     /// CTL `EG target` restricted to `within` (greatest fixpoint of
@@ -312,7 +456,9 @@ impl SymbolicContext {
         self.try_ag(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::ag`].
+    /// Governed [`SymbolicContext::ag`], through the saturated
+    /// [`SymbolicContext::try_ef`], so `within` must likewise be closed
+    /// under successors.
     pub fn try_ag(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
         let not_target = self.manager_mut().try_not(target)?;
         let bad = self.try_ef(not_target, within)?;
@@ -343,12 +489,16 @@ impl SymbolicContext {
     /// walks the backward cluster order of
     /// [`SymbolicContext::pre_image_all`] and ORs every cluster's pre-image
     /// of the current set, restricted to `hold ∧ within`, into the set at
-    /// once; a sweep that adds nothing ends the fixpoint. Unlike the
-    /// forward saturation driver, no cluster is skipped as clean: under an
-    /// arbitrary `hold` a commuted backward path may leave `hold`, so only
-    /// a full confirming sweep is sound. The budget is force-checked at
-    /// every sweep, so a tiny deadline truncates deterministically even on
-    /// nets too small for the amortized in-recursion check to fire.
+    /// once; a sweep that adds nothing ends the fixpoint. No cluster is
+    /// skipped as clean. [`SymbolicContext::try_ef`] may skip them because
+    /// its `within` is closed under successors, so a backward path with
+    /// two firings commuted stays inside it; under an arbitrary `hold` the
+    /// commuted path may leave `hold`, so only a full confirming sweep is
+    /// sound. The same holds for a `within` that is not closed, which is
+    /// why `E[within U target]` is the `EF` of a truncated run. The budget
+    /// is force-checked at every sweep, so a tiny deadline truncates
+    /// deterministically even on nets too small for the amortized
+    /// in-recursion check to fire.
     pub fn try_eu(&mut self, hold: Ref, until: Ref, within: Ref) -> Result<Ref, Interrupt> {
         let plan = self.image_plan();
         let hold_w = self.manager_mut().try_and(hold, within)?;
@@ -538,7 +688,13 @@ impl SymbolicContext {
         options: TraversalOptions,
     ) -> PortfolioReport {
         let reached = run.reached;
-        let mut cache = SubtermCache::default();
+        // A complete reached set is closed under successors, so `EF` and
+        // `AG` saturate over it; the partial set of a truncated run is
+        // not, and keeps the chained `EU`.
+        let mut cache = SubtermCache {
+            closed: run.truncated.is_none(),
+            ..SubtermCache::default()
+        };
         if let Some(budget) = options.budget() {
             self.manager_mut().install_budget(budget);
         }
@@ -646,7 +802,7 @@ impl SymbolicContext {
             }
             Property::Ef(a) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
-                self.try_ef(fa, within)?
+                self.try_ef_in(fa, within, cache.closed)?
             }
             Property::Eg(a) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
@@ -662,7 +818,9 @@ impl SymbolicContext {
             }
             Property::Ag(a) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
-                self.try_ag(fa, within)?
+                let not_fa = self.manager_mut().try_diff(within, fa)?;
+                let bad = self.try_ef_in(not_fa, within, cache.closed)?;
+                self.manager_mut().try_diff(within, bad)?
             }
             Property::Eu(a, b) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
@@ -747,7 +905,7 @@ mod tests {
     use super::*;
     use crate::encoding::{AssignmentStrategy, Encoding};
     use crate::explicit::ExplicitChecker;
-    use crate::traverse::FixpointStrategy;
+    use pnsym_bdd::Budget;
     use pnsym_net::nets::{
         dme, figure1, muller, philosophers, random_composed, slotted_ring, DmeStyle,
         RandomNetConfig,
@@ -798,10 +956,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chained_eu_and_dual_au_equal_their_oracles() {
-        // philosophers(2) has reachable deadlocks, so the dual AU meets the
-        // vacuous deadlock convention there.
+    /// The nets the fixpoints are differentially tested on, each under
+    /// the sparse and the improved dense encoding. philosophers(2) and the
+    /// slotted ring have reachable deadlocks.
+    fn differential_contexts() -> Vec<(PetriNet, SymbolicContext)> {
         let mut nets = vec![
             figure1(),
             philosophers(2),
@@ -812,57 +970,103 @@ mod tests {
             dme(4, DmeStyle::Circuit),
         ];
         nets.extend((0..3).map(|seed| random_composed(RandomNetConfig::default(), seed)));
-        for net in &nets {
-            let smcs = find_smcs(net).unwrap();
+        let mut contexts = Vec::new();
+        for net in nets {
+            let smcs = find_smcs(&net).unwrap();
             for encoding in [
-                Encoding::sparse(net),
-                Encoding::improved(net, &smcs, AssignmentStrategy::Gray),
+                Encoding::sparse(&net),
+                Encoding::improved(&net, &smcs, AssignmentStrategy::Gray),
             ] {
-                let mut ctx = SymbolicContext::new(net, encoding);
-                let reached = ctx.reachable_markings().reached;
-                let n = net.num_places();
-                let marked: Vec<Ref> = [0, n / 3, 2 * n / 3, n - 1]
-                    .into_iter()
-                    .map(|i| {
-                        let chi = ctx.place_fn(PlaceId(i as u32));
-                        ctx.manager_mut().and(chi, reached)
-                    })
-                    .collect();
-                let dead = ctx.deadlocks_in(reached);
-                // Holds: everything (EF), and each place unmarked, which a
-                // firing that marks the place leaves. A hold that is not
-                // closed under successors is the case in which a driver
-                // that skips clean clusters would miss states; every net
-                // has one. Untils: each place, and deadlock.
-                let mut pairs = Vec::new();
-                let mut open_holds = 0;
-                for (i, &p) in marked.iter().enumerate() {
-                    let unmarked = ctx.manager_mut().diff(reached, p);
-                    let successors = ctx.image_all(unmarked);
-                    if ctx.manager_mut().diff(successors, unmarked) != ctx.manager().zero() {
-                        open_holds += 1;
-                    }
-                    pairs.push((reached, p));
-                    pairs.push((unmarked, dead));
-                    for &q in marked.iter().skip(i + 1) {
-                        pairs.push((unmarked, q));
-                    }
+                let ctx = SymbolicContext::new(&net, encoding);
+                contexts.push((net.clone(), ctx));
+            }
+        }
+        contexts
+    }
+
+    /// The markings of `reached` that mark each of four places spread
+    /// over the net.
+    fn sampled_places(ctx: &mut SymbolicContext, net: &PetriNet, reached: Ref) -> Vec<Ref> {
+        let n = net.num_places();
+        [0, n / 3, 2 * n / 3, n - 1]
+            .into_iter()
+            .map(|i| {
+                let chi = ctx.place_fn(PlaceId(i as u32));
+                ctx.manager_mut().and(chi, reached)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn saturated_ef_and_ag_equal_the_chained_oracle() {
+        // The oracle is the chained `E[within U target]`, which fires every
+        // cluster on every sweep; the saturated `EF` skips clean clusters.
+        let mut deadlock_nets = 0;
+        for (net, mut ctx) in differential_contexts() {
+            let reached = ctx.reachable_markings().reached;
+            let mut targets = Vec::new();
+            for p in sampled_places(&mut ctx, &net, reached) {
+                targets.push(p);
+                targets.push(ctx.manager_mut().diff(reached, p));
+            }
+            let dead = ctx.deadlocks_in(reached);
+            if dead != ctx.manager().zero() {
+                deadlock_nets += 1;
+            }
+            targets.push(dead);
+            for target in targets {
+                let chained = ctx.eu(reached, target, reached);
+                assert_eq!(ctx.ef(target, reached), chained, "{}: EF", net.name());
+                let not_target = ctx.manager_mut().diff(reached, target);
+                let bad = ctx.eu(reached, not_target, reached);
+                let chained = ctx.manager_mut().diff(reached, bad);
+                assert_eq!(ctx.ag(target, reached), chained, "{}: AG", net.name());
+            }
+        }
+        assert!(deadlock_nets >= 2, "reachable deadlocks are covered");
+    }
+
+    #[test]
+    fn chained_eu_and_dual_au_equal_their_oracles() {
+        // philosophers(2) has reachable deadlocks, so the dual AU meets the
+        // vacuous deadlock convention there.
+        for (net, mut ctx) in differential_contexts() {
+            let reached = ctx.reachable_markings().reached;
+            let marked = sampled_places(&mut ctx, &net, reached);
+            let dead = ctx.deadlocks_in(reached);
+            // Holds: everything (EF), and each place unmarked, which a
+            // firing that marks the place leaves. A hold that is not
+            // closed under successors is the case in which a fixpoint
+            // that skips clean clusters would miss states; every net
+            // has one. Untils: each place, and deadlock.
+            let mut pairs = Vec::new();
+            let mut open_holds = 0;
+            for (i, &p) in marked.iter().enumerate() {
+                let unmarked = ctx.manager_mut().diff(reached, p);
+                let successors = ctx.image_all(unmarked);
+                if ctx.manager_mut().diff(successors, unmarked) != ctx.manager().zero() {
+                    open_holds += 1;
                 }
-                assert!(open_holds > 0, "{}: a hold its firings leave", net.name());
-                for (hold, until) in pairs {
-                    assert_eq!(
-                        ctx.eu(hold, until, reached),
-                        bfs_eu(&mut ctx, hold, until, reached),
-                        "{}: chained EU",
-                        net.name()
-                    );
-                    assert_eq!(
-                        ctx.au(hold, until, reached),
-                        ax_iteration_au(&mut ctx, hold, until, reached),
-                        "{}: dual AU",
-                        net.name()
-                    );
+                pairs.push((reached, p));
+                pairs.push((unmarked, dead));
+                for &q in marked.iter().skip(i + 1) {
+                    pairs.push((unmarked, q));
                 }
+            }
+            assert!(open_holds > 0, "{}: a hold its firings leave", net.name());
+            for (hold, until) in pairs {
+                assert_eq!(
+                    ctx.eu(hold, until, reached),
+                    bfs_eu(&mut ctx, hold, until, reached),
+                    "{}: chained EU",
+                    net.name()
+                );
+                assert_eq!(
+                    ctx.au(hold, until, reached),
+                    ax_iteration_au(&mut ctx, hold, until, reached),
+                    "{}: dual AU",
+                    net.name()
+                );
             }
         }
     }
@@ -1248,9 +1452,84 @@ mod tests {
     }
 
     #[test]
+    fn a_truncated_run_keeps_ef_and_ag_on_the_chained_fixpoint() {
+        // Two saturation sweeps of the sparse slot-3 reach 6 markings, a
+        // set that is not closed under successors. Over it the saturated
+        // `EF !free.1` finds 4 of them and the chained
+        // `E[within U !free.1]` all 6: skipping clean clusters is unsound
+        // there, so a portfolio over a truncated run must chain.
+        let net = slotted_ring(3);
+        let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
+        let capped = TraversalOptions {
+            max_iterations: Some(2),
+            ..TraversalOptions::default()
+        };
+        let run = ctx.reachable_markings_with(capped);
+        assert_eq!(run.truncated, Some(TruncationReason::Iterations));
+        let within = run.reached;
+        let free1 = ctx.place_fn(net.place_by_name("free.1").unwrap());
+        let not_free1 = ctx.manager_mut().diff(within, free1);
+        let chained = ctx.eu(within, not_free1, within);
+        let saturated = ctx.ef(not_free1, within);
+        assert_eq!(
+            (ctx.count_markings(saturated), ctx.count_markings(chained)),
+            (4.0, 6.0)
+        );
+        let chained_ag = ctx.manager_mut().diff(within, chained);
+
+        let props: Vec<Property> = ["EF !free.1", "AG free.1"]
+            .iter()
+            .map(|t| Property::parse(t, &net).unwrap())
+            .collect();
+        let portfolio = ctx.check_portfolio_on(&props, &run, TraversalOptions::default());
+        let counts: Vec<f64> = portfolio.reports.iter().map(|r| r.sat_markings).collect();
+        assert_eq!(
+            counts,
+            [ctx.count_markings(chained), ctx.count_markings(chained_ag)]
+        );
+        for report in &portfolio.reports {
+            assert_eq!(report.truncated, Some(TruncationReason::Iterations));
+        }
+    }
+
+    #[test]
+    fn a_budget_interrupts_the_saturated_ef_and_releases_its_protections() {
+        let net = philosophers(4);
+        let mut ctx = dense_ctx(&net);
+        let reached = ctx.reachable_markings().reached;
+        let dead = ctx.deadlocks_in(reached);
+        // Interrupted by the step ceiling partway through the sweeps (on a
+        // cold computed cache: a step is a cache miss), and at the first
+        // forced checkpoint by an expired deadline.
+        for (budget, reason) in [
+            (
+                Budget::new().with_step_ceiling(500),
+                TruncationReason::StepBudget,
+            ),
+            (
+                Budget::new().with_deadline(Duration::ZERO),
+                TruncationReason::Deadline,
+            ),
+        ] {
+            let interrupted = crate::trace::assert_protections_balanced(&mut ctx, |ctx| {
+                ctx.manager_mut().install_budget(budget);
+                let ef = ctx.try_ef(dead, reached);
+                let _ = ctx.manager_mut().take_budget();
+                ef
+            });
+            assert_eq!(interrupted, Err(Interrupt::new(reason)));
+        }
+        // Completed: the result is returned unprotected, like every
+        // governed CTL operator's.
+        let ef =
+            crate::trace::assert_protections_balanced(&mut ctx, |ctx| ctx.try_ef(dead, reached));
+        assert_eq!(ef, Ok(ctx.eu(reached, dead, reached)));
+    }
+
+    #[test]
     fn a_budget_governs_ctl_evaluation_as_well_as_the_traversal() {
         // phil-4's traversal takes about 2,200 governed steps and the
-        // chained `AG EF` fixpoint over its reached set about 14,000, so a
+        // saturated `AG EF` fixpoint over its reached set about 7,400, so a
         // 5,000-step budget admits the first and trips inside the second.
         let net = philosophers(4);
         let prop = Property::parse("AG EF eating.0", &net).unwrap();

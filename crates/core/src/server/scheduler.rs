@@ -144,39 +144,50 @@ impl Scheduler {
         scheduler
     }
 
-    /// Startup rehydration: restores warm snapshots into the pool, oldest
-    /// key first, stopping at the pool capacity. A snapshot whose spec no
-    /// longer resolves (or whose net hashes differently than its key
-    /// claims) is discarded; a corrupt one is deleted by the restore path
-    /// with a typed reason.
+    /// Startup rehydration: restores warm snapshots into the pool in key
+    /// order until it holds `pool_capacity` of them. Each file is read and
+    /// decoded once, and files past the capacity are not read at all. A
+    /// corrupt or mismatched snapshot is deleted with a typed reason, and
+    /// one whose net hashes differently than its key claims is discarded;
+    /// neither counts against the capacity, nor does one whose spec no
+    /// longer resolves (it stays on disk).
     fn rehydrate(&mut self) {
         let Some(store) = self.snapshots.as_mut() else {
             return;
         };
-        for (key, spec) in store
-            .warm_specs()
-            .into_iter()
-            .take(self.config.pool_capacity)
-        {
-            let Some(net) = (self.resolver)(&spec) else {
+        let mut restored = 0;
+        for key in store.warm_keys() {
+            if restored == self.config.pool_capacity {
+                break;
+            }
+            let snapshot = match store.read_warm(key) {
+                Ok(snapshot) => snapshot,
+                Err(reason) => {
+                    eprintln!(
+                        "pnsymd: snapshot {key:016x} rejected at startup ({reason}); deleted"
+                    );
+                    continue;
+                }
+            };
+            let Some(net) = (self.resolver)(snapshot.spec()) else {
                 continue;
             };
             if canonical_net_hash(&net) != key {
                 store.discard_warm(key);
                 continue;
             }
-            let mut entry = WarmContext::new(key, spec, build_context(&net));
-            match store.restore_warm(key, entry.context_mut()) {
-                Some(Ok(_)) => {
+            let mut entry = WarmContext::new(key, snapshot.spec(), build_context(&net));
+            match store.import_warm(snapshot, entry.context_mut()) {
+                Ok(_) => {
                     self.pool.note_restore();
                     let _ = self.pool.insert(entry);
+                    restored += 1;
                 }
-                Some(Err(reason)) => {
+                Err(reason) => {
                     eprintln!(
                         "pnsymd: snapshot {key:016x} rejected at startup ({reason}); deleted"
                     );
                 }
-                None => {}
             }
         }
     }
@@ -485,6 +496,54 @@ mod tests {
             },
             resolver,
         )
+    }
+
+    #[test]
+    fn rehydration_reads_each_snapshot_once_and_stops_at_capacity() {
+        let resolve = |spec: &str| match spec {
+            "figure1" => Some(nets::figure1()),
+            "phil-2" => Some(nets::philosophers(2)),
+            "phil-3" => Some(nets::philosophers(3)),
+            "muller-3" => Some(nets::muller(3)),
+            _ => None,
+        };
+        let dir = std::env::temp_dir().join(format!("pnsym-rehydrate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = SnapshotStore::open(&dir).unwrap();
+        for spec in ["figure1", "phil-2", "phil-3", "muller-3"] {
+            let net = resolve(spec).unwrap();
+            let mut entry = WarmContext::new(canonical_net_hash(&net), spec, build_context(&net));
+            let _ = entry
+                .context_mut()
+                .reached_set(TraversalOptions::default(), None, None);
+            assert!(store.save_warm(&entry).unwrap());
+        }
+        // A corrupt file sorts first: it is rejected and deleted, and does
+        // not count against the capacity.
+        let corrupt = dir.join(format!("warm-{:016x}.pnsnap", 0));
+        std::fs::write(&corrupt, b"not a snapshot").unwrap();
+        let keys = store.warm_keys();
+        assert_eq!((keys.len(), keys[0]), (5, 0));
+
+        let capacity = 2;
+        let scheduler = Scheduler::new(
+            ServerConfig {
+                pool_capacity: capacity,
+                snapshot_dir: Some(dir.clone()),
+                ..ServerConfig::default()
+            },
+            Box::new(resolve),
+        );
+        assert_eq!(scheduler.pool.len(), capacity);
+        assert!(!corrupt.exists());
+        // The corrupt file and the first two valid ones, each read once;
+        // the two past the capacity are never read.
+        let expected: Vec<PathBuf> = keys[..=capacity]
+            .iter()
+            .map(|key| dir.join(format!("warm-{key:016x}.pnsnap")))
+            .collect();
+        assert_eq!(scheduler.snapshots.as_ref().unwrap().reads, expected);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn collect(scheduler: &mut Scheduler, request: &Request) -> Vec<Response> {

@@ -116,6 +116,22 @@ struct Payload {
     bdd: SerializedBdd,
 }
 
+/// A warm snapshot read, checksummed and decoded once
+/// ([`SnapshotStore::read_warm`]): startup rehydration learns the spec to
+/// build a context for from it, then imports it into that context
+/// ([`SnapshotStore::import_warm`]) without reading the file again.
+pub(crate) struct WarmSnapshot {
+    key: u64,
+    payload: Payload,
+}
+
+impl WarmSnapshot {
+    /// The net spec the snapshot was saved under.
+    pub(crate) fn spec(&self) -> &str {
+        &self.payload.spec
+    }
+}
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -380,6 +396,9 @@ pub struct SnapshotStore {
     dir: PathBuf,
     #[cfg(feature = "fault-inject")]
     faults: DiskFaultSchedule,
+    /// Every file read so far, in order.
+    #[cfg(test)]
+    pub(crate) reads: Vec<PathBuf>,
 }
 
 impl SnapshotStore {
@@ -391,6 +410,8 @@ impl SnapshotStore {
             dir,
             #[cfg(feature = "fault-inject")]
             faults: DiskFaultSchedule::none(),
+            #[cfg(test)]
+            reads: Vec::new(),
         })
     }
 
@@ -440,6 +461,8 @@ impl SnapshotStore {
     }
 
     fn read_file(&mut self, path: &Path) -> io::Result<Vec<u8>> {
+        #[cfg(test)]
+        self.reads.push(path.to_path_buf());
         #[allow(unused_mut)]
         let mut bytes = fs::read(path)?;
         #[cfg(feature = "fault-inject")]
@@ -482,60 +505,81 @@ impl SnapshotStore {
         key: u64,
         ctx: &mut SymbolicContext,
     ) -> Option<Result<Vec<(FixpointStrategy, ReachabilityResult)>, SnapshotRejection>> {
-        let path = self.warm_path(key);
-        if !path.exists() {
+        if !self.warm_path(key).exists() {
             return None;
         }
-        let result = self.try_restore_warm(&path, key, ctx);
-        if result.is_err() {
-            let _ = fs::remove_file(&path);
-        }
-        Some(result)
+        let run = self
+            .read_warm(key)
+            .and_then(|snapshot| self.import_warm(snapshot, ctx));
+        Some(run.map(|run| vec![(run.strategy, run)]))
     }
 
-    fn try_restore_warm(
+    /// Reads, checksums and decodes the warm snapshot for `key`, checking
+    /// that it is a warm snapshot of that net. On `Err` the file has been
+    /// deleted.
+    pub(crate) fn read_warm(&mut self, key: u64) -> Result<WarmSnapshot, SnapshotRejection> {
+        let path = self.warm_path(key);
+        let read = (|| {
+            let bytes = self.read_file(&path).map_err(SnapshotRejection::Io)?;
+            let payload = decode(&bytes)?;
+            if payload.kind != KIND_WARM {
+                return Err(SnapshotRejection::Envelope("not a warm snapshot"));
+            }
+            if payload.net_hash != key {
+                return Err(SnapshotRejection::Mismatch(format!(
+                    "snapshot is for net {:016x}, expected {key:016x}",
+                    payload.net_hash
+                )));
+            }
+            Ok(WarmSnapshot { key, payload })
+        })();
+        if read.is_err() {
+            let _ = fs::remove_file(&path);
+        }
+        read
+    }
+
+    /// Imports a decoded warm snapshot into a freshly built context, as
+    /// [`SnapshotStore::restore_warm`] does. On `Err` the file has been
+    /// deleted.
+    pub(crate) fn import_warm(
         &mut self,
-        path: &Path,
-        key: u64,
+        snapshot: WarmSnapshot,
         ctx: &mut SymbolicContext,
-    ) -> Result<Vec<(FixpointStrategy, ReachabilityResult)>, SnapshotRejection> {
-        let bytes = self.read_file(path).map_err(SnapshotRejection::Io)?;
-        let payload = decode(&bytes)?;
-        if payload.kind != KIND_WARM {
-            return Err(SnapshotRejection::Envelope("not a warm snapshot"));
+    ) -> Result<ReachabilityResult, SnapshotRejection> {
+        let WarmSnapshot { key, payload } = snapshot;
+        let imported = (|| {
+            let entry = payload.entry;
+            let strategy: FixpointStrategy = entry
+                .strategy
+                .parse()
+                .map_err(|err: ParseStrategyError| SnapshotRejection::Mismatch(err.to_string()))?;
+            let root = import_into(ctx, &payload.bdd)?;
+            let num_markings = ctx.count_markings(root);
+            if num_markings != entry.num_markings {
+                return Err(SnapshotRejection::Mismatch(format!(
+                    "restored {:?} set counts {num_markings} markings, snapshot recorded {}",
+                    entry.strategy, entry.num_markings
+                )));
+            }
+            ctx.manager_mut().protect(root);
+            let run = ReachabilityResult {
+                reached: root,
+                num_markings,
+                iterations: entry.iterations as usize,
+                bdd_nodes: ctx.bdd_size(root),
+                peak_live_nodes: ctx.manager().peak_live_nodes(),
+                duration: Duration::ZERO,
+                truncated: None,
+                strategy,
+            };
+            ctx.adopt_reached(run);
+            Ok(run)
+        })();
+        if imported.is_err() {
+            self.discard_warm(key);
         }
-        if payload.net_hash != key {
-            return Err(SnapshotRejection::Mismatch(format!(
-                "snapshot is for net {:016x}, expected {key:016x}",
-                payload.net_hash
-            )));
-        }
-        let entry = payload.entry;
-        let strategy: FixpointStrategy = entry
-            .strategy
-            .parse()
-            .map_err(|err: ParseStrategyError| SnapshotRejection::Mismatch(err.to_string()))?;
-        let root = import_into(ctx, &payload.bdd)?;
-        let num_markings = ctx.count_markings(root);
-        if num_markings != entry.num_markings {
-            return Err(SnapshotRejection::Mismatch(format!(
-                "restored {:?} set counts {num_markings} markings, snapshot recorded {}",
-                entry.strategy, entry.num_markings
-            )));
-        }
-        ctx.manager_mut().protect(root);
-        let run = ReachabilityResult {
-            reached: root,
-            num_markings,
-            iterations: entry.iterations as usize,
-            bdd_nodes: ctx.bdd_size(root),
-            peak_live_nodes: ctx.manager().peak_live_nodes(),
-            duration: Duration::ZERO,
-            truncated: None,
-            strategy,
-        };
-        ctx.adopt_reached(run);
-        Ok(vec![(strategy, run)])
+        imported
     }
 
     /// Deletes the warm snapshot for `key`, if any.
@@ -543,10 +587,9 @@ impl SnapshotStore {
         let _ = fs::remove_file(self.warm_path(key));
     }
 
-    /// Lists `(key, spec)` of every decodable warm snapshot in the store,
-    /// for startup rehydration. Undecodable files are skipped here — the
-    /// lazy restore path deletes them with a typed reason on first use.
-    pub fn warm_specs(&mut self) -> Vec<(u64, String)> {
+    /// The keys of every warm snapshot file in the store, ascending: the
+    /// order startup rehydration reads them in.
+    pub(crate) fn warm_keys(&self) -> Vec<u64> {
         let Ok(dir) = fs::read_dir(&self.dir) else {
             return Vec::new();
         };
@@ -559,15 +602,7 @@ impl SnapshotStore {
             })
             .collect();
         keys.sort_unstable();
-        keys.into_iter()
-            .filter_map(|key| {
-                let path = self.warm_path(key);
-                let bytes = self.read_file(&path).ok()?;
-                let payload = decode(&bytes).ok()?;
-                (payload.kind == KIND_WARM && payload.net_hash == key)
-                    .then_some((key, payload.spec))
-            })
-            .collect()
+        keys
     }
 
     /// Checkpoints the partial reached set of a running fixpoint;

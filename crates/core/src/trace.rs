@@ -1,11 +1,13 @@
 //! Witness-trace extraction: a concrete firing sequence from the initial
 //! marking to a marking satisfying a target predicate.
 //!
-//! During the forward traversal the frontier "onion rings" are recorded;
-//! a witness is then rebuilt backwards, ring by ring, by asking which
-//! transition can step from the previous ring into the current prefix of
-//! the trace (a [`SymbolicContext::pre_image`] query through the
-//! precomputed image plan). The result is a list of
+//! Each extraction runs its own breadth-first forward search from the
+//! initial marking, independent of the reachability traversal (which
+//! records no rings), and keeps its frontier "onion rings" until an image
+//! meets the target; a witness is then rebuilt backwards, ring by ring, by
+//! asking which transition can step from the previous ring into the
+//! current prefix of the trace (a [`SymbolicContext::pre_image`] query
+//! through the precomputed image plan). The result is a list of
 //! `(transition, marking)` pairs that the token game of `pnsym-net`
 //! re-validates.
 //!
@@ -334,10 +336,10 @@ impl SymbolicContext {
 
 /// Runs `operation` and asserts it leaves the manager's protected-root
 /// count exactly where it found it — the invariant every trace-extraction
-/// path must uphold. A leak would pin dead fixpoint rings in the manager
-/// for the context's lifetime; an over-release would expose live plan
-/// artefacts to garbage collection. Shared by the trace tests here and the
-/// model-checker trace tests in `mc.rs`.
+/// path and every CTL fixpoint must uphold. A leak would pin dead fixpoint
+/// rings in the manager for the context's lifetime; an over-release would
+/// expose live plan artefacts to garbage collection. Shared by the trace
+/// tests here and the model-checker tests in `mc.rs`.
 #[cfg(test)]
 pub(crate) fn assert_protections_balanced<T>(
     ctx: &mut SymbolicContext,
@@ -351,7 +353,7 @@ pub(crate) fn assert_protections_balanced<T>(
     assert_eq!(
         ctx.manager().protected_root_count(),
         before,
-        "trace extraction must release every protection it takes"
+        "the operation must release every protection it takes"
     );
     out
 }

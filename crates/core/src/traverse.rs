@@ -3,7 +3,8 @@
 //! One generic driver ([`run_fixpoint`]) computes the reachable-marking
 //! fixpoint for *any* backend implementing the small [`FixpointKernel`]
 //! trait — the BDD engine of [`SymbolicContext`] and the ZDD engine of
-//! [`ZddContext`](crate::ZddContext) both run on it, so garbage-collection
+//! [`ZddContext`](crate::ZddContext) both run on it, as does the CTL
+//! checker's backward `EF` (in `mc.rs`), so garbage-collection
 //! adaptation, peak tracking, iteration accounting and truncation live in
 //! exactly one place.
 //!
@@ -287,8 +288,11 @@ pub(crate) struct FixpointRun<S> {
 /// The minimal backend surface the generic fixpoint driver needs: set
 /// algebra, per-cluster images, and optional protection/maintenance hooks.
 ///
-/// Implemented by the BDD engine (over [`SymbolicContext`] and its
-/// [`ImagePlan`]) and the ZDD engine.
+/// Implemented by the forward BDD engine (over [`SymbolicContext`] and its
+/// [`ImagePlan`]), the ZDD engine, and the CTL checker's backward kernel,
+/// which runs `EF` on [`FixpointStrategy::Saturation`]: its cluster
+/// "image" is a cluster's pre-image restricted to a set closed under
+/// successors, and its feeds relation is the transpose of the forward one.
 pub(crate) trait FixpointKernel {
     /// A handle to a set of markings in the backend's manager.
     type Set: Copy + PartialEq;
@@ -547,16 +551,18 @@ fn saturation<K: FixpointKernel>(
 pub type PassObserver<'h> = dyn FnMut(&SymbolicContext, Ref, usize) + 'h;
 
 /// The BDD backend of the generic driver: cluster images through the
-/// context's [`ImagePlan`], manager protection and adaptive GC.
-struct BddFixpointKernel<'a, 'h> {
-    ctx: &'a mut SymbolicContext,
-    plan: Rc<ImagePlan>,
+/// context's [`ImagePlan`], manager protection and adaptive GC. The
+/// backward kernel of the CTL checker wraps it and reuses its set algebra,
+/// protections and forced checkpoint.
+pub(crate) struct BddFixpointKernel<'a, 'h> {
+    pub(crate) ctx: &'a mut SymbolicContext,
+    pub(crate) plan: Rc<ImagePlan>,
     /// The traversal's start set: the initial marking, or its union with a
     /// resumed checkpoint seed. Computed (and protected) by the caller
     /// before the budget is installed.
-    start: Ref,
+    pub(crate) start: Ref,
     /// Optional pass-boundary callback (checkpointing rides here).
-    observer: Option<&'a mut PassObserver<'h>>,
+    pub(crate) observer: Option<&'a mut PassObserver<'h>>,
 }
 
 impl FixpointKernel for BddFixpointKernel<'_, '_> {

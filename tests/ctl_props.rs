@@ -255,6 +255,62 @@ fn witness_traces_demonstrate_their_verdicts() {
     }
 }
 
+/// The saturated `EF` and `AG` of `sat_set` against the chained oracle
+/// `E[within U target]` on the nets of the benchmark's `ctl` workload
+/// (phil-10, muller-16, slot-12 and dme-cir-7 in a release build, smaller
+/// members of the same families in a debug one), improved dense with Gray
+/// codes. The targets are the operands of every `EF` and `AG` of the net's
+/// suite, two places and their negations, and the deadlocks.
+#[test]
+fn saturated_ef_and_ag_match_the_chained_oracle_on_the_ctl_ladder() {
+    let nets = if cfg!(debug_assertions) {
+        [
+            philosophers(6),
+            muller(10),
+            slotted_ring(8),
+            dme(5, DmeStyle::Circuit),
+        ]
+    } else {
+        [
+            philosophers(10),
+            muller(16),
+            slotted_ring(12),
+            dme(7, DmeStyle::Circuit),
+        ]
+    };
+    for net in nets {
+        let smcs = find_smcs(&net).unwrap();
+        let mut ctx = SymbolicContext::new(
+            &net,
+            Encoding::improved(&net, &smcs, AssignmentStrategy::Gray),
+        );
+        let reached = ctx.reachable_markings().reached;
+        let mut targets = vec![Property::ex(Property::True).not()];
+        for spec in property_suite(&net) {
+            match Property::parse(&spec.formula, &net).unwrap() {
+                Property::Ef(a) | Property::Ag(a) => targets.push(*a),
+                _ => {}
+            }
+        }
+        for place in [net.places().next(), net.places().last()] {
+            let place = Property::place(place.expect("non-empty net"));
+            targets.push(place.clone().not());
+            targets.push(place);
+        }
+        for target in targets {
+            let inner = ctx.sat_set(&target, reached);
+            let oracle = ctx.eu(reached, inner, reached);
+            let ef = ctx.sat_set(&Property::ef(target.clone()), reached);
+            assert_eq!(ef, oracle, "{}: EF {}", net.name(), target.display(&net));
+            let outside = ctx.manager_mut().diff(reached, inner);
+            let bad = ctx.eu(reached, outside, reached);
+            let oracle = ctx.manager_mut().diff(reached, bad);
+            let ag = ctx.sat_set(&Property::ag(target.clone()), reached);
+            assert_eq!(ag, oracle, "{}: AG {}", net.name(), target.display(&net));
+        }
+    }
+}
+
 /// Formula templates instantiated with random place indices; covers every
 /// operator with nested boolean structure.
 fn template_formula(which: usize, places: &[Property]) -> Property {
