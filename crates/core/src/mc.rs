@@ -14,23 +14,37 @@
 //!
 //! # Fixpoints
 //!
-//! `EF` (and through it `AG = ¬EF ¬`) *saturates* backwards, on the same
-//! [`FixpointStrategy::Saturation`] code forward reachability runs on:
-//! clusters are bucketed by the topmost level they write and fired
-//! bottom-up, each firing ORs the cluster's pre-image of the current set
-//! into it, and a cluster re-fires only when a productive firing of a
-//! cluster it feeds has re-dirtied it. Skipping a clean cluster is sound
-//! because the set `EF` ranges over, the reached set, is closed under
-//! successors (see `BackwardKernel`). Over a set that is not, the partial
-//! set of a truncated run, `EF` and `AG` take the chained `EU` instead.
+//! Which fixpoint runs depends on what is known about `within`, the set
+//! the path quantifiers range over (`Model`): the complete reached set of
+//! a run (the context's memoized one for the public operators, or the run
+//! a portfolio is evaluated on), the partial set of a truncated run, or a
+//! set of unknown origin.
+//!
+//! `EF` (and through it `AG = ¬EF ¬`) *saturates* backwards over a
+//! complete reached set, on the same [`FixpointStrategy::Saturation`] code
+//! forward reachability runs on: clusters are bucketed by the topmost
+//! level they write and fired bottom-up, each firing ORs the cluster's
+//! pre-image of the current set into it, and a cluster re-fires only when
+//! a productive firing of a cluster it feeds has re-dirtied it. Skipping a
+//! clean cluster is sound because that set is closed under successors
+//! (see `BackwardKernel`). Over any other set `EF` and `AG` take the
+//! chained `EU` instead.
 //!
 //! `EU` under an arbitrary `hold` *chains*: a sweep walks the plan's
 //! backward cluster order and ORs each cluster's pre-image of the current
 //! set, restricted to `hold`, into it at once, so a state found early in
 //! the sweep is already a target for the clusters after it; the fixpoint
-//! is reached when a full sweep adds nothing. The greatest fixpoint `EG`
-//! takes one full backward step per iteration. `AF` and `AU` are
-//! evaluated through their duals (`AF q = ¬EG ¬q`,
+//! is reached when a full sweep adds nothing.
+//!
+//! The greatest fixpoint `EG a` is bounded by T-semiflows over a set of
+//! reachable markings, complete or truncated: a cycle inside `a` fires a
+//! T-semiflow, so only the transitions that survive
+//! [`semiflow_support`](pnsym_structural::semiflow_support) can carry one.
+//! The breadth-first fixpoint runs under those transitions alone, and the
+//! chained `E[a U Z]` closes its result `Z` when the prune removed any (see
+//! [`SymbolicContext::try_eg`]). Over a set of unknown origin it runs under
+//! every transition with an edge inside `a`. `AF` and `AU` are evaluated
+//! through their duals (`AF q = ¬EG ¬q`,
 //! `A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q)`) as subterms of the evaluation
 //! pass's cache, so a portfolio holding both computes the `EG ¬q` core
 //! they share once, and their counterexamples read it back.
@@ -49,7 +63,7 @@
 //! deadlock itself is expressible inside the language as `!EX true`.
 
 use crate::context::SymbolicContext;
-use crate::plan::{ImageCluster, ImagePlan};
+use crate::plan::{ImageCluster, ImagePlan, PlannedTransition};
 use crate::property::Property;
 use crate::trace::WitnessTrace;
 use crate::traverse::{
@@ -58,6 +72,7 @@ use crate::traverse::{
 };
 use pnsym_bdd::{Interrupt, Ref, TruncationReason};
 use pnsym_net::TransitionId;
+use pnsym_structural::semiflow_support;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -129,9 +144,25 @@ struct SubtermCache {
     map: HashMap<Property, Ref>,
     hits: u64,
     lookups: u64,
-    /// Whether the pass's `within` set is closed under successors (a
-    /// complete reached set), so that `EF` and `AG` may saturate.
-    closed: bool,
+    /// What the pass's `within` set is known to be.
+    model: Model,
+}
+
+/// What an evaluation pass knows about its `within` set, which decides the
+/// fixpoints that are sound over it. Both cases hold only reachable
+/// markings of the (safe) net, so the state equation holds on every path
+/// inside them and `EG` may prune by T-semiflows (see
+/// [`SymbolicContext::try_eg`]). A `within` of unknown origin has no
+/// model: there `EF` chains and `EG` runs unpruned.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Model {
+    /// The set of a complete reachability run: also closed under
+    /// successors, so `EF` and `AG` saturate (see `BackwardKernel`).
+    #[default]
+    Complete,
+    /// The partial set of a truncated run: not closed under successors,
+    /// so `EF` and `AG` chain.
+    Truncated,
 }
 
 /// Panic message of the infallible CTL wrappers when a budget trips under
@@ -211,7 +242,7 @@ impl FixpointKernel for BackwardKernel<'_> {
 
     fn cluster_image(&mut self, cluster: usize, z: Ref) -> Result<Ref, Interrupt> {
         let ctx = &mut *self.forward.ctx;
-        let pre = ctx.try_cluster_pre_image(&self.forward.plan.clusters()[cluster], z)?;
+        let pre = ctx.try_cluster_pre_image(&self.forward.plan.clusters()[cluster], z, None)?;
         ctx.manager_mut().try_and(pre, self.within)
     }
 
@@ -274,14 +305,14 @@ impl SymbolicContext {
     ///
     /// `within` is the model: the set the path quantifiers range over,
     /// typically the reached set of [`SymbolicContext::reached_set`]. It
-    /// must be closed under successors for the universal operators to be
-    /// meaningful (the reached set is). The result is always a subset of
-    /// `within`.
+    /// **must** be closed under successors and hold only reachable
+    /// markings, as a complete reached set does: the saturated `EF` and
+    /// the flow-pruned `EG` rely on both and are not checked. Over any
+    /// other set use the operators ([`SymbolicContext::try_ef`],
+    /// [`SymbolicContext::try_eg`], …) directly. The result is always a
+    /// subset of `within`.
     pub fn sat_set(&mut self, property: &Property, within: Ref) -> Ref {
-        let mut cache = SubtermCache {
-            closed: true,
-            ..SubtermCache::default()
-        };
+        let mut cache = SubtermCache::default();
         let sat = self.sat_set_memo(property, within, &mut cache);
         self.drain(cache);
         sat.expect(GOVERNED_CTL)
@@ -296,13 +327,8 @@ impl SymbolicContext {
     pub fn pre_image(&mut self, target: Ref, t: TransitionId) -> Ref {
         let plan = self.image_plan();
         let (cluster, planned) = plan.planned(t);
-        let m = self.manager_mut();
-        // target[W_t := T_t] = ∃W_t. (target ∧ T_t)
-        let substituted = m.and_exists_cube(target, planned.target, cluster.quant_cube);
-        if substituted == m.zero() {
-            return substituted;
-        }
-        m.and(planned.enabling, substituted)
+        self.try_member_pre_image(cluster, planned, target)
+            .expect("budget breached inside an infallible pre-image; governed callers must use try_pre_image_all")
     }
 
     /// The pre-image of `target` under all transitions (one backward step),
@@ -319,33 +345,61 @@ impl SymbolicContext {
     /// [`Interrupt`] when the installed budget trips.
     pub fn try_pre_image_all(&mut self, target: Ref) -> Result<Ref, Interrupt> {
         let plan = self.image_plan();
+        self.try_pre_image_of(&plan, target, None)
+    }
+
+    /// One backward step of `target` in the plan's backward order, under
+    /// every transition or, given a mask indexed by transition, under the
+    /// transitions it keeps.
+    fn try_pre_image_of(
+        &mut self,
+        plan: &ImagePlan,
+        target: Ref,
+        keep: Option<&[bool]>,
+    ) -> Result<Ref, Interrupt> {
         let mut acc = self.manager().zero();
-        for c in backward_order(&plan) {
-            let part = self.try_cluster_pre_image(&plan.clusters()[c], target)?;
+        for c in backward_order(plan) {
+            let part = self.try_cluster_pre_image(&plan.clusters()[c], target, keep)?;
             acc = self.manager_mut().try_or(acc, part)?;
         }
         Ok(acc)
     }
 
-    /// The pre-image of `target` under the members of one cluster: the
-    /// shared quantification cube is walked once per member and the
-    /// members' pre-images are OR-folded.
+    /// The pre-image of `target` under the members of one cluster (those
+    /// `keep` holds, given a mask indexed by transition): the shared
+    /// quantification cube is walked once per member and the members'
+    /// pre-images are OR-folded.
     fn try_cluster_pre_image(
         &mut self,
         cluster: &ImageCluster,
         target: Ref,
+        keep: Option<&[bool]>,
     ) -> Result<Ref, Interrupt> {
-        let m = self.manager_mut();
-        let mut part = m.zero();
+        let mut part = self.manager().zero();
         for member in &cluster.members {
-            let substituted = m.try_and_exists_cube(target, member.target, cluster.quant_cube)?;
-            if substituted == m.zero() {
+            if keep.is_some_and(|keep| !keep[member.transition.index()]) {
                 continue;
             }
-            let pre = m.try_and(member.enabling, substituted)?;
-            part = m.try_or(part, pre)?;
+            let pre = self.try_member_pre_image(cluster, member, target)?;
+            part = self.manager_mut().try_or(part, pre)?;
         }
         Ok(part)
+    }
+
+    /// The pre-image of `target` under one member of `cluster`.
+    fn try_member_pre_image(
+        &mut self,
+        cluster: &ImageCluster,
+        member: &PlannedTransition,
+        target: Ref,
+    ) -> Result<Ref, Interrupt> {
+        let m = self.manager_mut();
+        // target[W_t := T_t] = ∃W_t. (target ∧ T_t)
+        let substituted = m.try_and_exists_cube(target, member.target, cluster.quant_cube)?;
+        if substituted == m.zero() {
+            return Ok(substituted);
+        }
+        m.try_and(member.enabling, substituted)
     }
 
     /// CTL `EX target` restricted to `within`: states of `within` with a
@@ -375,25 +429,55 @@ impl SymbolicContext {
 
     /// CTL `EF target` restricted to `within` (least fixpoint of
     /// `target ∨ EX Z`): states of `within` that can reach `target`.
-    /// `within` must be closed under successors (see
-    /// [`SymbolicContext::try_ef`]).
     pub fn ef(&mut self, target: Ref, within: Ref) -> Ref {
         self.try_ef(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::ef`], computed by backward saturation
-    /// on the same code forward reachability runs on: clusters are
-    /// bucketed by the topmost level they write and fired bottom-up, and
-    /// a cluster re-fires only when a productive firing of a cluster it
-    /// feeds re-dirties it. Skipping a clean cluster is sound only because
-    /// `within` is closed under successors (see `BackwardKernel`), so
-    /// `within` **must** be, as the reached set is. For any other
-    /// `within`, such as the partial set of a truncated run,
-    /// `E[within U target]` ([`SymbolicContext::try_eu`]) is the sound
-    /// form. The budget is force-checked at every pass, and on
-    /// every return the protections of the start set and of the growing
-    /// set are released.
+    /// Governed [`SymbolicContext::ef`]. When `within` is the context's
+    /// memoized complete reached set
+    /// ([`SymbolicContext::memoized_reached`]), it saturates backwards on
+    /// the same code forward reachability runs on: clusters are bucketed
+    /// by the topmost level they write and fired bottom-up, and a cluster
+    /// re-fires only when a productive firing of a cluster it feeds
+    /// re-dirties it. Skipping a clean cluster is sound only because that
+    /// set is closed under successors (see `BackwardKernel`). Over any
+    /// other `within`, such as the partial set of a truncated run, it is
+    /// the chained `E[within U target]` ([`SymbolicContext::try_eu`]),
+    /// which is sound everywhere. The budget is force-checked at every
+    /// pass or sweep, and every protection taken is released on return.
     pub fn try_ef(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
+        let model = self.model_of(within);
+        self.try_ef_in(target, within, model)
+    }
+
+    /// What a public operator knows about its `within`: the complete
+    /// model when it is the memoized reached set (one `Ref` comparison),
+    /// nothing otherwise.
+    fn model_of(&self, within: Ref) -> Option<Model> {
+        let memo = self.memoized_reached().map(|run| run.reached);
+        (memo == Some(within)).then_some(Model::Complete)
+    }
+
+    /// `EF target` in `within` on the fixpoint that is sound there: the
+    /// saturated one over a complete reached set, the chained
+    /// `E[within U target]` otherwise.
+    fn try_ef_in(
+        &mut self,
+        target: Ref,
+        within: Ref,
+        model: Option<Model>,
+    ) -> Result<Ref, Interrupt> {
+        if model == Some(Model::Complete) {
+            self.try_saturated_ef(target, within)
+        } else {
+            self.try_eu(within, target, within)
+        }
+    }
+
+    /// `EF target` by backward saturation (`BackwardKernel`) inside a
+    /// `within` closed under successors. On every return the protections
+    /// of the start set and of the growing set are released.
+    fn try_saturated_ef(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
         let start = self.manager_mut().try_and(target, within)?;
         self.manager_mut().protect(start);
         let plan = self.image_plan();
@@ -415,17 +499,6 @@ impl SymbolicContext {
         }
     }
 
-    /// `EF target` in `within` on the fixpoint that is sound there: the
-    /// saturated [`SymbolicContext::try_ef`] when `within` is `closed`
-    /// under successors, the chained `E[within U target]` otherwise.
-    fn try_ef_in(&mut self, target: Ref, within: Ref, closed: bool) -> Result<Ref, Interrupt> {
-        if closed {
-            self.try_ef(target, within)
-        } else {
-            self.try_eu(within, target, within)
-        }
-    }
-
     /// CTL `EG target` restricted to `within` (greatest fixpoint of
     /// `target ∧ EX Z`): states from which some infinite path stays in
     /// `target` forever. Deadlocked states drop out of the fixpoint, per
@@ -434,15 +507,88 @@ impl SymbolicContext {
         self.try_eg(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::eg`]: breadth-first, one full backward
-    /// step per iteration. The budget is additionally force-checked at every
-    /// iteration, so a tiny deadline truncates deterministically even on
-    /// nets too small for the amortized in-recursion check to fire.
+    /// Governed [`SymbolicContext::eg`], in four steps:
+    ///
+    /// 1. `A = target ∧ within`, and `T_a`, the transitions `t` with
+    ///    `pre_t(A) ∧ A ≠ ∅`: the labels of the edges inside `A` (one
+    ///    pass over the plan's members).
+    /// 2. `T'`, the transitions of `T_a` that [`semiflow_support`] keeps:
+    ///    those that can lie in a T-semiflow using only `T_a`. If `T'` is
+    ///    empty, `EG` is empty.
+    /// 3. The greatest fixpoint `Z = A ∧ pre_{T'}(Z)`, breadth-first.
+    /// 4. `Z` itself if nothing was pruned (`T' = T_a`), otherwise
+    ///    `E[A U Z]` ([`SymbolicContext::try_eu`]).
+    ///
+    /// This is exact. A cycle inside `A` returns to its marking, so its
+    /// Parikh vector is a T-semiflow supported in `T_a`, and the prune
+    /// keeps every such support. So every nontrivial strongly connected
+    /// component of `A` lies in `Z`, and `Z ⊆ EG target` because every
+    /// state of `Z` has a successor in `Z`. A run that stays in `A`
+    /// forever ends in such a component, hence `EG target = E[A U Z]`. A
+    /// deadlocked state has no successor and never reaches `Z`. With `T'`
+    /// much smaller than `T_a`, as on muller's `EG !done.0`, the fixpoint
+    /// that took hundreds of breadth-first steps ends at once.
+    ///
+    /// The state equation behind step 2 holds only on reachable markings
+    /// of the safe net: an arbitrary code of the encoding need not fire
+    /// as its marking does. So the prune runs only when `within` is the
+    /// context's memoized complete reached set
+    /// ([`SymbolicContext::memoized_reached`]), or inside an evaluation
+    /// pass over a reached set, complete or truncated; otherwise step 2
+    /// keeps `T' = T_a` and step 3 is the plain breadth-first greatest
+    /// fixpoint.
+    /// The member pass and every iteration force-check the budget, so a
+    /// tiny deadline truncates deterministically even on nets too small
+    /// for the amortized in-recursion check to fire.
+    ///
+    /// [`semiflow_support`]: pnsym_structural::semiflow_support
     pub fn try_eg(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
-        let mut z = self.manager_mut().try_and(target, within)?;
+        let reachable = self.model_of(within).is_some();
+        self.try_eg_in(target, within, reachable)
+    }
+
+    /// [`SymbolicContext::try_eg`] with the prune of step 2 applied when
+    /// `within` is `reachable`: it holds only reachable markings.
+    fn try_eg_in(&mut self, target: Ref, within: Ref, reachable: bool) -> Result<Ref, Interrupt> {
+        let plan = self.image_plan();
+        let a = self.manager_mut().try_and(target, within)?;
+        let labels = self.try_edge_labels(&plan, a)?;
+        let pruned = reachable
+            .then(|| semiflow_support(self.net(), &labels))
+            .filter(|cyclic| *cyclic != labels);
+        let keep = pruned.as_deref().unwrap_or(&labels);
+        if !keep.contains(&true) {
+            return Ok(self.manager().zero());
+        }
+        let core = self.try_eg_core(&plan, a, keep)?;
+        match pruned {
+            None => Ok(core),
+            Some(_) => self.try_eu(a, core, within),
+        }
+    }
+
+    /// The transitions that label an edge inside `a`: the plan members
+    /// `t` with `pre_t(a) ∧ a ≠ ∅`, as a mask indexed by transition.
+    fn try_edge_labels(&mut self, plan: &ImagePlan, a: Ref) -> Result<Vec<bool>, Interrupt> {
+        self.manager_mut().force_checkpoint()?;
+        let mut labels = vec![false; self.net().num_transitions()];
+        for cluster in plan.clusters() {
+            for member in &cluster.members {
+                let pre = self.try_member_pre_image(cluster, member, a)?;
+                let inside = self.manager_mut().try_and(pre, a)?;
+                labels[member.transition.index()] = inside != self.manager().zero();
+            }
+        }
+        Ok(labels)
+    }
+
+    /// The greatest fixpoint `Z = a ∧ pre_keep(Z)`: one backward step
+    /// under the transitions `keep` holds per iteration.
+    fn try_eg_core(&mut self, plan: &ImagePlan, a: Ref, keep: &[bool]) -> Result<Ref, Interrupt> {
+        let mut z = a;
         loop {
             self.manager_mut().force_checkpoint()?;
-            let pre = self.try_pre_image_all(z)?;
+            let pre = self.try_pre_image_of(plan, z, Some(keep))?;
             let next = self.manager_mut().try_and(z, pre)?;
             if next == z {
                 return Ok(z);
@@ -456,9 +602,9 @@ impl SymbolicContext {
         self.try_ag(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::ag`], through the saturated
-    /// [`SymbolicContext::try_ef`], so `within` must likewise be closed
-    /// under successors.
+    /// Governed [`SymbolicContext::ag`], through
+    /// [`SymbolicContext::try_ef`]: saturated over the memoized reached
+    /// set, chained over any other `within`.
     pub fn try_ag(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
         let not_target = self.manager_mut().try_not(target)?;
         let bad = self.try_ef(not_target, within)?;
@@ -471,7 +617,9 @@ impl SymbolicContext {
         self.try_af(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::af`].
+    /// Governed [`SymbolicContext::af`], through its dual
+    /// [`SymbolicContext::try_eg`]: flow-pruned over the memoized reached
+    /// set, breadth-first over any other `within`.
     pub fn try_af(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
         let not_target = self.manager_mut().try_not(target)?;
         let avoid = self.try_eg(not_target, within)?;
@@ -507,7 +655,7 @@ impl SymbolicContext {
             self.manager_mut().force_checkpoint()?;
             let swept_from = z;
             for c in backward_order(&plan) {
-                let pre = self.try_cluster_pre_image(&plan.clusters()[c], z)?;
+                let pre = self.try_cluster_pre_image(&plan.clusters()[c], z, None)?;
                 let step = self.manager_mut().try_and(pre, hold_w)?;
                 z = self.manager_mut().try_or(z, step)?;
             }
@@ -528,8 +676,9 @@ impl SymbolicContext {
     /// Governed [`SymbolicContext::au`], through its duality
     /// `A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q)` (complements taken in
     /// `within`): the chained [`SymbolicContext::try_eu`] plus one
-    /// [`SymbolicContext::try_eg`], instead of a full `AX` step per
-    /// iteration.
+    /// [`SymbolicContext::try_eg`] (flow-pruned over the memoized reached
+    /// set, breadth-first over any other `within`), instead of a full `AX`
+    /// step per iteration.
     pub fn try_au(&mut self, hold: Ref, until: Ref, within: Ref) -> Result<Ref, Interrupt> {
         let not_until = self.manager_mut().try_diff(within, until)?;
         let neither = self.manager_mut().try_diff(not_until, hold)?;
@@ -688,11 +837,11 @@ impl SymbolicContext {
         options: TraversalOptions,
     ) -> PortfolioReport {
         let reached = run.reached;
-        // A complete reached set is closed under successors, so `EF` and
-        // `AG` saturate over it; the partial set of a truncated run is
-        // not, and keeps the chained `EU`.
         let mut cache = SubtermCache {
-            closed: run.truncated.is_none(),
+            model: match run.truncated {
+                None => Model::Complete,
+                Some(_) => Model::Truncated,
+            },
             ..SubtermCache::default()
         };
         if let Some(budget) = options.budget() {
@@ -802,11 +951,11 @@ impl SymbolicContext {
             }
             Property::Ef(a) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
-                self.try_ef_in(fa, within, cache.closed)?
+                self.try_ef_in(fa, within, Some(cache.model))?
             }
             Property::Eg(a) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
-                self.try_eg(fa, within)?
+                self.try_eg_in(fa, within, true)?
             }
             Property::Ax(a) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
@@ -819,7 +968,7 @@ impl SymbolicContext {
             Property::Ag(a) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
                 let not_fa = self.manager_mut().try_diff(within, fa)?;
-                let bad = self.try_ef_in(not_fa, within, cache.closed)?;
+                let bad = self.try_ef_in(not_fa, within, Some(cache.model))?;
                 self.manager_mut().try_diff(within, bad)?
             }
             Property::Eu(a, b) => {
@@ -938,6 +1087,28 @@ mod tests {
         }
     }
 
+    /// The breadth-first `EG` the flow-pruned one replaced, kept as its
+    /// oracle: the greatest fixpoint of `target ∧ EX Z`, one full backward
+    /// step per iteration.
+    fn bfs_eg(ctx: &mut SymbolicContext, target: Ref, within: Ref) -> Ref {
+        let mut z = ctx.manager_mut().and(target, within);
+        loop {
+            let pre = ctx.pre_image_all(z);
+            let next = ctx.manager_mut().and(z, pre);
+            if next == z {
+                return z;
+            }
+            z = next;
+        }
+    }
+
+    /// The context's memoized complete reached set, over which the public
+    /// operators saturate `EF` and prune `EG`.
+    fn memoized(ctx: &mut SymbolicContext) -> Ref {
+        ctx.reached_set(TraversalOptions::default(), None, None)
+            .reached
+    }
+
     /// The `A[hold U until]` the duality replaced, kept as its oracle: the
     /// least fixpoint of `until ∨ (hold ∧ AX Z)`, one `AX` step per
     /// iteration.
@@ -1003,7 +1174,7 @@ mod tests {
         // cluster on every sweep; the saturated `EF` skips clean clusters.
         let mut deadlock_nets = 0;
         for (net, mut ctx) in differential_contexts() {
-            let reached = ctx.reachable_markings().reached;
+            let reached = memoized(&mut ctx);
             let mut targets = Vec::new();
             for p in sampled_places(&mut ctx, &net, reached) {
                 targets.push(p);
@@ -1029,9 +1200,10 @@ mod tests {
     #[test]
     fn chained_eu_and_dual_au_equal_their_oracles() {
         // philosophers(2) has reachable deadlocks, so the dual AU meets the
-        // vacuous deadlock convention there.
+        // vacuous deadlock convention there. Over the memoized reached set
+        // the dual's `EG` branch is the flow-pruned one.
         for (net, mut ctx) in differential_contexts() {
-            let reached = ctx.reachable_markings().reached;
+            let reached = memoized(&mut ctx);
             let marked = sampled_places(&mut ctx, &net, reached);
             let dead = ctx.deadlocks_in(reached);
             // Holds: everything (EF), and each place unmarked, which a
@@ -1068,6 +1240,92 @@ mod tests {
                     net.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn pruned_eg_equals_the_breadth_first_oracle() {
+        // Over the memoized reached set `EG` runs under the transitions
+        // that survive the T-semiflow prune and closes its core with
+        // `E[A U Z]`; the oracle takes full backward steps. `AF` and `AU`
+        // reach the pruned `EG` through their duals.
+        let (mut pruned, mut closed) = (0, 0);
+        for (net, mut ctx) in differential_contexts() {
+            let reached = memoized(&mut ctx);
+            let mut targets = Vec::new();
+            for p in sampled_places(&mut ctx, &net, reached) {
+                targets.push(p);
+                targets.push(ctx.manager_mut().diff(reached, p));
+            }
+            targets.push(ctx.ex(reached, reached));
+            targets.push(ctx.deadlocks_in(reached));
+            let plan = ctx.image_plan();
+            for (i, &a) in targets.iter().enumerate() {
+                let oracle = bfs_eg(&mut ctx, a, reached);
+                assert_eq!(ctx.eg(a, reached), oracle, "{}: EG", net.name());
+                let not_a = ctx.manager_mut().diff(reached, a);
+                let af = ctx.manager_mut().diff(reached, oracle);
+                assert_eq!(ctx.af(not_a, reached), af, "{}: AF", net.name());
+                let hold = targets[(i + 1) % targets.len()];
+                let au = ax_iteration_au(&mut ctx, hold, not_a, reached);
+                assert_eq!(ctx.au(hold, not_a, reached), au, "{}: AU", net.name());
+
+                // Count the cores on which the prune fired and the closure
+                // `E[A U Z]` added states to `Z`.
+                let labels = ctx.try_edge_labels(&plan, a).unwrap();
+                let cyclic = semiflow_support(&net, &labels);
+                if cyclic != labels && cyclic.contains(&true) {
+                    pruned += 1;
+                    let core = ctx.try_eg_core(&plan, a, &cyclic).unwrap();
+                    if core != ctx.manager().zero() && core != oracle {
+                        closed += 1;
+                    }
+                }
+            }
+        }
+        assert!(pruned > 0 && closed > 0, "pruned {pruned}, closed {closed}");
+    }
+
+    #[test]
+    fn a_budget_interrupts_the_pruned_eg_and_releases_its_protections() {
+        // muller's `EG !done.0` prunes its transitions, so the whole
+        // four-step `EG` runs. A fresh context has a cold computed cache,
+        // so the same call takes the same number of steps each time.
+        let net = muller(6);
+        let fresh = || {
+            let mut ctx = dense_ctx(&net);
+            let reached = memoized(&mut ctx);
+            let done = ctx.place_fn(net.place_by_name("done.0").unwrap());
+            let avoid = ctx.manager_mut().diff(reached, done);
+            (ctx, avoid, reached)
+        };
+        let (mut ctx, avoid, reached) = fresh();
+        let eg = crate::trace::assert_protections_balanced(&mut ctx, |ctx| {
+            ctx.manager_mut().install_budget(Budget::new());
+            let eg = ctx.try_eg(avoid, reached);
+            let steps = ctx.manager_mut().take_budget().unwrap().steps();
+            eg.map(|eg| (eg, steps))
+        });
+        let (eg, steps) = eg.unwrap();
+        assert_eq!(eg, bfs_eg(&mut ctx, avoid, reached));
+        for (budget, reason) in [
+            (
+                Budget::new().with_step_ceiling(steps / 2),
+                TruncationReason::StepBudget,
+            ),
+            (
+                Budget::new().with_deadline(Duration::ZERO),
+                TruncationReason::Deadline,
+            ),
+        ] {
+            let (mut ctx, avoid, reached) = fresh();
+            let interrupted = crate::trace::assert_protections_balanced(&mut ctx, |ctx| {
+                ctx.manager_mut().install_budget(budget);
+                let eg = ctx.try_eg(avoid, reached);
+                let _ = ctx.manager_mut().take_budget();
+                eg
+            });
+            assert_eq!(interrupted, Err(Interrupt::new(reason)));
         }
     }
 
@@ -1152,7 +1410,7 @@ mod tests {
     fn ef_and_ag_fixpoints_on_philosophers() {
         let net = philosophers(2);
         let mut ctx = dense_ctx(&net);
-        let reached = ctx.reachable_markings().reached;
+        let reached = memoized(&mut ctx);
         let eating0 = net.place_by_name("eating.0").unwrap();
         let target = ctx.place_fn(eating0);
         // From the initial marking philosopher 0 can eventually eat.
@@ -1457,7 +1715,10 @@ mod tests {
         // set that is not closed under successors. Over it the saturated
         // `EF !free.1` finds 4 of them and the chained
         // `E[within U !free.1]` all 6: skipping clean clusters is unsound
-        // there, so a portfolio over a truncated run must chain.
+        // there, so the public `EF` over a set other than the memoized
+        // reached set, and a portfolio over a truncated run, must chain.
+        // The set holds reachable markings only, so the portfolio's `EG`
+        // still prunes.
         let net = slotted_ring(3);
         let mut ctx = SymbolicContext::new(&net, Encoding::sparse(&net));
         let capped = TraversalOptions {
@@ -1470,14 +1731,17 @@ mod tests {
         let free1 = ctx.place_fn(net.place_by_name("free.1").unwrap());
         let not_free1 = ctx.manager_mut().diff(within, free1);
         let chained = ctx.eu(within, not_free1, within);
-        let saturated = ctx.ef(not_free1, within);
+        let saturated = ctx.try_saturated_ef(not_free1, within).unwrap();
+        assert_eq!(ctx.ef(not_free1, within), chained);
         assert_eq!(
             (ctx.count_markings(saturated), ctx.count_markings(chained)),
             (4.0, 6.0)
         );
         let chained_ag = ctx.manager_mut().diff(within, chained);
+        let avoid = bfs_eg(&mut ctx, not_free1, within);
+        let af = ctx.manager_mut().diff(within, avoid);
 
-        let props: Vec<Property> = ["EF !free.1", "AG free.1"]
+        let props: Vec<Property> = ["EF !free.1", "AG free.1", "AF free.1"]
             .iter()
             .map(|t| Property::parse(t, &net).unwrap())
             .collect();
@@ -1485,7 +1749,7 @@ mod tests {
         let counts: Vec<f64> = portfolio.reports.iter().map(|r| r.sat_markings).collect();
         assert_eq!(
             counts,
-            [ctx.count_markings(chained), ctx.count_markings(chained_ag)]
+            [chained, chained_ag, af].map(|set| ctx.count_markings(set))
         );
         for report in &portfolio.reports {
             assert_eq!(report.truncated, Some(TruncationReason::Iterations));
@@ -1496,7 +1760,7 @@ mod tests {
     fn a_budget_interrupts_the_saturated_ef_and_releases_its_protections() {
         let net = philosophers(4);
         let mut ctx = dense_ctx(&net);
-        let reached = ctx.reachable_markings().reached;
+        let reached = memoized(&mut ctx);
         let dead = ctx.deadlocks_in(reached);
         // Interrupted by the step ceiling partway through the sweeps (on a
         // cold computed cache: a step is a cache miss), and at the first

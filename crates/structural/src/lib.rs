@@ -8,6 +8,8 @@
 //!   elimination ([`minimal_invariants`]);
 //! * **State Machine Component** extraction and validation ([`find_smcs`],
 //!   [`check_smc`]), following Theorem 2.1 of the paper;
+//! * the transitions that can carry a **T-semiflow**, which bound the
+//!   cycles of the reachability graph ([`semiflow_support`]);
 //! * the **unate covering** formulation of SMC selection
 //!   ([`select_smc_cover`], Section 4.2), with greedy and exact solvers.
 //!
@@ -32,10 +34,12 @@
 
 mod cover;
 mod invariants;
+mod semiflow;
 mod smc;
 
 pub use cover::{select_smc_cover, CoverProblem, CoverStrategy, SmcCover};
 pub use invariants::{
     minimal_invariants, minimal_invariants_with, Invariant, InvariantError, InvariantOptions,
 };
+pub use semiflow::semiflow_support;
 pub use smc::{check_smc, find_smcs, find_smcs_with, smcs_from_invariants, Smc, SmcCheckError};

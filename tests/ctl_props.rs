@@ -255,14 +255,10 @@ fn witness_traces_demonstrate_their_verdicts() {
     }
 }
 
-/// The saturated `EF` and `AG` of `sat_set` against the chained oracle
-/// `E[within U target]` on the nets of the benchmark's `ctl` workload
-/// (phil-10, muller-16, slot-12 and dme-cir-7 in a release build, smaller
-/// members of the same families in a debug one), improved dense with Gray
-/// codes. The targets are the operands of every `EF` and `AG` of the net's
-/// suite, two places and their negations, and the deadlocks.
-#[test]
-fn saturated_ef_and_ag_match_the_chained_oracle_on_the_ctl_ladder() {
+/// The nets of the benchmark's `ctl` workload (phil-10, muller-16,
+/// slot-12 and dme-cir-7 in a release build, smaller members of the same
+/// families in a debug one), improved dense with Gray codes.
+fn ctl_ladder() -> Vec<(PetriNet, SymbolicContext)> {
     let nets = if cfg!(debug_assertions) {
         [
             philosophers(6),
@@ -278,12 +274,25 @@ fn saturated_ef_and_ag_match_the_chained_oracle_on_the_ctl_ladder() {
             dme(7, DmeStyle::Circuit),
         ]
     };
-    for net in nets {
-        let smcs = find_smcs(&net).unwrap();
-        let mut ctx = SymbolicContext::new(
-            &net,
-            Encoding::improved(&net, &smcs, AssignmentStrategy::Gray),
-        );
+    nets.into_iter()
+        .map(|net| {
+            let smcs = find_smcs(&net).unwrap();
+            let ctx = SymbolicContext::new(
+                &net,
+                Encoding::improved(&net, &smcs, AssignmentStrategy::Gray),
+            );
+            (net, ctx)
+        })
+        .collect()
+}
+
+/// The saturated `EF` and `AG` of `sat_set` against the chained oracle
+/// `E[within U target]` on the [`ctl_ladder`]. The targets are the
+/// operands of every `EF` and `AG` of the net's suite, two places and
+/// their negations, and the deadlocks.
+#[test]
+fn saturated_ef_and_ag_match_the_chained_oracle_on_the_ctl_ladder() {
+    for (net, mut ctx) in ctl_ladder() {
         let reached = ctx.reachable_markings().reached;
         let mut targets = vec![Property::ex(Property::True).not()];
         for spec in property_suite(&net) {
@@ -307,6 +316,41 @@ fn saturated_ef_and_ag_match_the_chained_oracle_on_the_ctl_ladder() {
             let oracle = ctx.manager_mut().diff(reached, bad);
             let ag = ctx.sat_set(&Property::ag(target.clone()), reached);
             assert_eq!(ag, oracle, "{}: AG {}", net.name(), target.display(&net));
+        }
+    }
+}
+
+/// The flow-pruned `EG` of `sat_set`, and the `AF` and `AU` evaluated
+/// through it, against the breadth-first `EG` on the [`ctl_ladder`]. The
+/// public operators prune only over the context's memoized reached set,
+/// and `reachable_markings` memoizes nothing, so over its set they run
+/// breadth-first. The cores are `EG !p` for the place `p` each net's
+/// `AF` is about (slot has none, so its `free.0`), plus every `AU` of the
+/// net's suite.
+#[test]
+fn pruned_eg_matches_the_breadth_first_fixpoint_on_the_ctl_ladder() {
+    let cores = ["eating.0", "done.0", "free.0", "critical.0"];
+    for ((net, mut ctx), core) in ctl_ladder().into_iter().zip(cores) {
+        let reached = ctx.reachable_markings().reached;
+        assert!(ctx.memoized_reached().is_none());
+        let place = Property::place(net.place_by_name(core).unwrap());
+        let marked = ctx.sat_set(&place, reached);
+        let avoid = ctx.manager_mut().diff(reached, marked);
+        let oracle = ctx.eg(avoid, reached);
+        let eg = ctx.sat_set(&Property::eg(place.clone().not()), reached);
+        assert_eq!(eg, oracle, "{}: EG !{core}", net.name());
+        let oracle = ctx.manager_mut().diff(reached, oracle);
+        let af = ctx.sat_set(&Property::af(place), reached);
+        assert_eq!(af, oracle, "{}: AF {core}", net.name());
+        for spec in property_suite(&net) {
+            let prop = Property::parse(&spec.formula, &net).unwrap();
+            let Property::Au(hold, until) = &prop else {
+                continue;
+            };
+            let [hold, until] = [hold, until].map(|p| ctx.sat_set(p, reached));
+            let oracle = ctx.au(hold, until, reached);
+            let au = ctx.sat_set(&prop, reached);
+            assert_eq!(au, oracle, "{}: {}", net.name(), spec.formula);
         }
     }
 }

@@ -38,6 +38,8 @@ use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -98,7 +100,7 @@ fn boot(config: ServerConfig) -> ServerHandle {
     let resolver: NetResolver = Box::new(|spec| match spec {
         "figure1" => Some(nets::figure1()),
         "phil-3" => Some(nets::philosophers(3)),
-        "phil-8" => Some(nets::philosophers(8)),
+        "phil-10" => Some(nets::philosophers(10)),
         _ => None,
     });
     serve("127.0.0.1:0", config, resolver).expect("ephemeral port")
@@ -668,6 +670,13 @@ fn restarted_scheduler_rehydrates_from_snapshots() {
 /// answered immediately with a typed `overloaded` error carrying a
 /// retry-after hint, while the first query completes normally and pings
 /// keep working throughout.
+///
+/// No sleep decides who holds the slot. The fast query is resent until it
+/// is shed, which happens as soon as the slow query (phil-10's cold
+/// traversal and suite, about 0.1 s in a release build) is admitted; the
+/// test fails only if the slow query completes before that. A fast query
+/// in flight can shed the slow one too, so the slow client retries until
+/// admitted.
 #[test]
 fn overloaded_daemon_sheds_load_with_typed_retry_hint() {
     let handle = boot(ServerConfig {
@@ -677,30 +686,46 @@ fn overloaded_daemon_sheds_load_with_typed_retry_hint() {
     });
     let addr = handle.addr();
 
-    let phil = nets::philosophers(8);
-    let slow_request = suite_request(1, "phil-8", &phil);
-    let worker = std::thread::spawn(move || {
-        let mut slow = Client::connect(addr).expect("connect slow");
-        slow.request(&slow_request).expect("slow query completes")
-    });
-    // Give the slow query time to occupy the admission slot (its cold
-    // traversal runs for hundreds of milliseconds).
-    std::thread::sleep(Duration::from_millis(50));
+    let phil = nets::philosophers(10);
+    let slow_request = suite_request(1, "phil-10", &phil);
+    let slow_done = Arc::new(AtomicBool::new(false));
+    let worker = {
+        let slow_done = Arc::clone(&slow_done);
+        std::thread::spawn(move || {
+            let config = ClientConfig {
+                retries: 50,
+                ..ClientConfig::default()
+            };
+            let mut slow = Client::connect_with(addr, config).expect("connect slow");
+            let responses = slow.request(&slow_request).expect("slow query completes");
+            slow_done.store(true, Ordering::SeqCst);
+            responses
+        })
+    };
 
     let figure1 = nets::figure1();
     let mut fast = Client::connect(addr).expect("connect fast");
-    let shed = fast
-        .request(&suite_request(2, "figure1", &figure1))
-        .expect("rejection is a response, not an I/O error");
-    match shed.last() {
-        Some(Response::Error {
-            code: ErrorCode::Overloaded,
-            terminal: true,
-            retry_after_ms: Some(hint),
-            ..
-        }) => assert!((25..=5_000).contains(hint), "hint {hint} in band"),
-        other => panic!("expected a typed overload rejection, got {other:?}"),
-    }
+    let hint = loop {
+        let slow_finished = slow_done.load(Ordering::SeqCst);
+        let responses = fast
+            .request(&suite_request(2, "figure1", &figure1))
+            .expect("rejection is a response, not an I/O error");
+        match responses.last() {
+            Some(Response::Error {
+                code: ErrorCode::Overloaded,
+                terminal: true,
+                retry_after_ms: Some(hint),
+                ..
+            }) => break *hint,
+            Some(Response::Done { .. }) => assert!(
+                !slow_finished,
+                "the slow query completed before a fast one was shed"
+            ),
+            other => panic!("expected a typed overload rejection, got {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!((25..=5_000).contains(&hint), "hint {hint} in band");
 
     // Health checks bypass admission: ping answers while overloaded.
     let pong = fast.request(&Request::Ping { id: 3 }).expect("ping");
