@@ -11,8 +11,10 @@
 //! * Strong canonicity: equal [`Ref`]s ⇔ equal functions.
 //! * The full `apply` family ([`BddManager::and`], [`BddManager::or`],
 //!   [`BddManager::xor`], [`BddManager::ite`], …), quantification and the
-//!   relational product ([`BddManager::and_exists`]) used for image
-//!   computation.
+//!   relational product ([`BddManager::and_exists`]), and the one-pass
+//!   image and pre-image steps of a transition that sets the variables it
+//!   writes to constants ([`BddManager::and_exists_assign`],
+//!   [`BddManager::and_cofactor`]).
 //! * Explicit garbage collection with protected roots, and dynamic variable
 //!   reordering (adjacent swap + Rudell sifting) in [`reorder`].
 //! * Counting and enumeration of satisfying assignments.

@@ -140,6 +140,8 @@ pub(crate) enum Op {
     Ite,
     Exists,
     AndExists,
+    AndExistsAssign,
+    AndCofactor,
     Constrain,
 }
 
@@ -205,8 +207,10 @@ pub struct ManagerStats {
     pub op_and: OpCacheStats,
     /// Per-operation cache counters of `exists`.
     pub op_exists: OpCacheStats,
-    /// Per-operation cache counters of the fused relational product
-    /// `and_exists`.
+    /// Per-operation cache counters of the relational products: the sum of
+    /// `and_exists` and the one-pass image and pre-image steps
+    /// `and_exists_assign` and `and_cofactor`, each of which keeps its own
+    /// cache entries.
     pub op_and_exists: OpCacheStats,
 }
 
@@ -698,12 +702,14 @@ impl BddManager {
     /// Returns a snapshot of manager statistics.
     pub fn stats(&self) -> ManagerStats {
         let counters = self.cache.counters();
-        let op = |op: Op| {
-            let c = counters.per_op[op as usize];
-            OpCacheStats {
-                hits: c.hits,
-                misses: c.misses,
-            }
+        let op = |ops: &[Op]| {
+            ops.iter().fold(OpCacheStats::default(), |sum, &op| {
+                let c = counters.per_op[op as usize];
+                OpCacheStats {
+                    hits: sum.hits + c.hits,
+                    misses: sum.misses + c.misses,
+                }
+            })
         };
         ManagerStats {
             live_nodes: self.live_node_count(),
@@ -718,9 +724,9 @@ impl BddManager {
             cache_hits: counters.hits(),
             cache_misses: counters.misses(),
             cache_overwrites: counters.overwrites,
-            op_and: op(Op::And),
-            op_exists: op(Op::Exists),
-            op_and_exists: op(Op::AndExists),
+            op_and: op(&[Op::And]),
+            op_exists: op(&[Op::Exists]),
+            op_and_exists: op(&[Op::AndExists, Op::AndExistsAssign, Op::AndCofactor]),
         }
     }
 

@@ -1,6 +1,7 @@
 //! Boolean operations on BDDs: the Shannon-expansion `apply` family,
-//! if-then-else, quantification, the relational product and variable
-//! renaming — all over complement edges.
+//! if-then-else, quantification, the relational product, the one-pass
+//! image and pre-image steps of a constant-assigning transition and
+//! variable renaming — all over complement edges.
 //!
 //! Under complement edges negation is a bit flip (no recursion, no cache,
 //! no allocation), so the derived operations collapse: `or` is De Morgan
@@ -468,6 +469,152 @@ impl BddManager {
         } else {
             let low = self.and_exists_rec(fl_, gl_, c)?;
             let high = self.and_exists_rec(fh_, gh_, c)?;
+            self.mk(level, low, high)
+        };
+        self.cache_put(key, r);
+        Ok(r)
+    }
+
+    /// The image step of a transition that drives the variables it writes
+    /// to constants: `(∃W. f ∧ g) ∧ assign`, where `assign` is a cube of
+    /// literals of either polarity and `W` is its support. One recursion
+    /// quantifies each variable of `W` and emits its literal in place, so
+    /// the quantified product `∃W. f ∧ g` is never built on its own.
+    ///
+    /// `assign` must be a conjunction of literals (see
+    /// [`BddManager::cube`]).
+    pub fn and_exists_assign(&mut self, f: Ref, g: Ref, assign: Ref) -> Ref {
+        self.try_and_exists_assign(f, g, assign).expect(UNGOVERNED)
+    }
+
+    /// Fallible [`BddManager::and_exists_assign`].
+    pub fn try_and_exists_assign(&mut self, f: Ref, g: Ref, assign: Ref) -> Result<Ref, Interrupt> {
+        Ok(Ref(self.and_exists_assign_rec(f.0, g.0, assign.0)?))
+    }
+
+    /// The top literal of a literal cube: its polarity and the rest of the
+    /// cube (one of the two cofactors of a literal node is `FALSE`).
+    #[inline]
+    fn literal_next(&self, t: u32) -> (bool, u32) {
+        let (low, high) = self.cofactors_at(t, self.level(t));
+        debug_assert!(low == ZERO || high == ZERO, "not a literal cube");
+        if low == ZERO {
+            (true, high)
+        } else {
+            (false, low)
+        }
+    }
+
+    /// `lit ∧ rest` for the literal of the variable at `level`.
+    #[inline]
+    fn mk_literal(&mut self, level: u32, positive: bool, rest: u32) -> u32 {
+        if positive {
+            self.mk(level, ZERO, rest)
+        } else {
+            self.mk(level, rest, ZERO)
+        }
+    }
+
+    fn and_exists_assign_rec(&mut self, f: u32, g: u32, t: u32) -> Result<u32, Interrupt> {
+        if f == ZERO || g == ZERO || f ^ g == 1 {
+            return Ok(ZERO);
+        }
+        if t == ONE {
+            return self.and_rec(f, g);
+        }
+        let level = self.level(f).min(self.level(g));
+        let lt = self.level(t);
+        if lt < level {
+            // A literal above both operands: nothing to quantify, so the
+            // literal sits on top of the rest. Not cached: the rest is.
+            let (positive, rest) = self.literal_next(t);
+            let r = self.and_exists_assign_rec(f, g, rest)?;
+            return Ok(self.mk_literal(lt, positive, r));
+        }
+        let (a, b) = if f < g { (f, g) } else { (g, f) };
+        let key = (Op::AndExistsAssign, a, b, t);
+        if let Some(r) = self.cache_get(key) {
+            return Ok(r);
+        }
+        self.checkpoint()?;
+        let (fl, fh) = self.cofactors_at(f, level);
+        let (gl, gh) = self.cofactors_at(g, level);
+        let r = if lt == level {
+            let (positive, rest) = self.literal_next(t);
+            let low = self.and_exists_assign_rec(fl, gl, rest)?;
+            // Both results imply `rest`; once one equals it, so does
+            // their disjunction.
+            let either = if low == rest {
+                low
+            } else {
+                let high = self.and_exists_assign_rec(fh, gh, rest)?;
+                self.or_idx(low, high)?
+            };
+            self.mk_literal(lt, positive, either)
+        } else {
+            let low = self.and_exists_assign_rec(fl, gl, t)?;
+            let high = self.and_exists_assign_rec(fh, gh, t)?;
+            self.mk(level, low, high)
+        };
+        self.cache_put(key, r);
+        Ok(r)
+    }
+
+    /// The pre-image step of a transition that drives the variables it
+    /// writes to constants: `e ∧ s|assign`, where `s|assign` is the
+    /// cofactor of `s` by the cube of literals `assign` (`s` with every
+    /// variable of the cube fixed to its literal's value, that is
+    /// `∃W. s ∧ assign` for the cube's support `W`). One recursion
+    /// cofactors and conjoins.
+    ///
+    /// `assign` must be a conjunction of literals (see
+    /// [`BddManager::cube`]).
+    pub fn and_cofactor(&mut self, e: Ref, s: Ref, assign: Ref) -> Ref {
+        self.try_and_cofactor(e, s, assign).expect(UNGOVERNED)
+    }
+
+    /// Fallible [`BddManager::and_cofactor`].
+    pub fn try_and_cofactor(&mut self, e: Ref, s: Ref, assign: Ref) -> Result<Ref, Interrupt> {
+        Ok(Ref(self.and_cofactor_rec(e.0, s.0, assign.0)?))
+    }
+
+    fn and_cofactor_rec(&mut self, e: u32, s: u32, mut t: u32) -> Result<u32, Interrupt> {
+        if e == ZERO || s == ZERO {
+            return Ok(ZERO);
+        }
+        // Literals above the top of `s` do not occur in it.
+        let ls = self.level(s);
+        while self.level(t) < ls {
+            t = self.literal_next(t).1;
+        }
+        if t == ONE {
+            return self.and_rec(e, s);
+        }
+        let key = (Op::AndCofactor, e, s, t);
+        if let Some(r) = self.cache_get(key) {
+            return Ok(r);
+        }
+        self.checkpoint()?;
+        let le = self.level(e);
+        let level = le.min(ls);
+        let r = if level == self.level(t) {
+            // `s` is rooted at the literal's variable: take its branch.
+            let (positive, rest) = self.literal_next(t);
+            let (sl, sh) = self.cofactors_at(s, level);
+            let branch = if positive { sh } else { sl };
+            if le == level {
+                let (el, eh) = self.cofactors_at(e, level);
+                let low = self.and_cofactor_rec(el, branch, rest)?;
+                let high = self.and_cofactor_rec(eh, branch, rest)?;
+                self.mk(level, low, high)
+            } else {
+                self.and_cofactor_rec(e, branch, rest)?
+            }
+        } else {
+            let (el, eh) = self.cofactors_at(e, level);
+            let (sl, sh) = self.cofactors_at(s, level);
+            let low = self.and_cofactor_rec(el, sl, t)?;
+            let high = self.and_cofactor_rec(eh, sh, t)?;
             self.mk(level, low, high)
         };
         self.cache_put(key, r);

@@ -4,7 +4,7 @@
 //! truth tables, and compared exhaustively; structural invariants and
 //! reordering invariance are checked along the way.
 
-use pnsym_bdd::{BddManager, Ref, SiftConfig, VarId};
+use pnsym_bdd::{BddManager, Budget, Ref, SiftConfig, TruncationReason, VarId};
 use proptest::prelude::*;
 
 const NVARS: usize = 5;
@@ -91,6 +91,55 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 
 fn all_assignments() -> impl Iterator<Item = Vec<bool>> {
     (0u32..(1 << NVARS)).map(|bits| (0..NVARS).map(|i| bits & (1 << i) != 0).collect())
+}
+
+/// The one-pass image and pre-image steps of `f`, `g` and the literal
+/// cube `assign`: `and_exists_assign(f, g, assign)`, then `and_cofactor`
+/// with either operand as the enabling function.
+fn fused_steps(m: &mut BddManager, f: Ref, g: Ref, assign: Ref) -> [Ref; 3] {
+    [
+        m.and_exists_assign(f, g, assign),
+        m.and_cofactor(f, g, assign),
+        m.and_cofactor(g, f, assign),
+    ]
+}
+
+/// The same three results through their two-step definitions, with `W` the
+/// support of `assign`: `(∃W. f ∧ g) ∧ assign` and
+/// `e ∧ s|assign = e ∧ ∃W. (s ∧ assign)`.
+fn two_step_forms(m: &mut BddManager, f: Ref, g: Ref, assign: Ref) -> [Ref; 3] {
+    let support = m.support(assign);
+    let w = m.var_cube(&support);
+    let quantified = m.and_exists_cube(f, g, w);
+    let image = m.and(quantified, assign);
+    let g_fixed = m.and_exists_cube(g, assign, w);
+    let f_fixed = m.and_exists_cube(f, assign, w);
+    [image, m.and(f, g_fixed), m.and(g, f_fixed)]
+}
+
+/// A literal cube over the first occurrence of each variable in `lits`.
+fn literal_cube(m: &mut BddManager, lits: &[(usize, bool)]) -> Ref {
+    let mut seen = [false; NVARS];
+    let lits: Vec<(VarId, bool)> = lits
+        .iter()
+        .filter(|&&(i, _)| !std::mem::replace(&mut seen[i], true))
+        .map(|&(i, value)| (m.var_id(i), value))
+        .collect();
+    m.cube(&lits)
+}
+
+/// Builds an operand whose top variable lies at or below level `top`
+/// (the variables above are quantified out), complemented on request, so a
+/// cube's literals fall above, between and below the operands' tops.
+fn shaped_operand(m: &mut BddManager, expr: &Expr, top: usize, negate: bool) -> Ref {
+    let f = expr.build(m);
+    let above: Vec<VarId> = (0..top).map(|i| m.var_id(i)).collect();
+    let f = m.exists(f, &above);
+    if negate {
+        m.not(f)
+    } else {
+        f
+    }
 }
 
 proptest! {
@@ -212,6 +261,48 @@ proptest! {
                 .any(|other| a.eval(&other) && b.eval(&other));
             prop_assert_eq!(m.eval(got, |v| assignment[v.index()]), reference);
         }
+    }
+
+    #[test]
+    fn fused_image_steps_equal_their_two_step_forms(
+        a in arb_expr(),
+        b in arb_expr(),
+        lits in proptest::collection::vec((0..NVARS, any::<bool>()), 0..=NVARS),
+        tops in (0..=NVARS, 0..=NVARS),
+        negate in (any::<bool>(), any::<bool>()),
+        action in 0u8..4,
+    ) {
+        // The one-pass image and pre-image must equal their two-step forms
+        // on random operands, either complemented, and random literal cubes
+        // of mixed polarity, and keep doing so after garbage collection and
+        // sifting run in between, as in a traversal.
+        let mut m = BddManager::with_vars(NVARS);
+        let f = shaped_operand(&mut m, &a, tops.0, negate.0);
+        let g = shaped_operand(&mut m, &b, tops.1, negate.1);
+        let assign = literal_cube(&mut m, &lits);
+        for r in [f, g, assign] {
+            m.protect(r);
+        }
+        let fused = fused_steps(&mut m, f, g, assign);
+        prop_assert_eq!(fused, two_step_forms(&mut m, f, g, assign));
+        for r in fused {
+            m.protect(r);
+        }
+        match action {
+            1 => m.collect_garbage(),
+            2 => {
+                m.sift_with(SiftConfig { max_growth: 1.5, max_vars: None });
+            }
+            3 => {
+                m.collect_garbage();
+                m.clear_cache();
+            }
+            _ => {}
+        }
+        prop_assert!(m.check_invariants().is_ok());
+        let again = fused_steps(&mut m, f, g, assign);
+        prop_assert_eq!(again, fused);
+        prop_assert_eq!(two_step_forms(&mut m, f, g, assign), fused);
     }
 
     #[test]
@@ -360,5 +451,52 @@ proptest! {
             });
             prop_assert_eq!(got, expr.eval(&a));
         }
+    }
+}
+
+#[test]
+fn fused_image_steps_unwind_on_a_step_ceiling() {
+    // Operands wide enough that each fused step takes thousands of cache
+    // misses: the parity of 24 variables and a chain of disjunctions, with
+    // a cube of mixed literals spread over the order.
+    let n = 24;
+    let mut m = BddManager::with_vars(n);
+    let ids = m.variables();
+    let mut f = m.zero();
+    for &v in &ids {
+        let lit = m.var(v);
+        f = m.xor(f, lit);
+    }
+    let mut g = m.one();
+    for w in ids.windows(2) {
+        let (x, y) = (m.var(w[0]), m.var(w[1]));
+        let or = m.or(x, y);
+        g = m.and(g, or);
+    }
+    let lits: Vec<(VarId, bool)> = ids.iter().step_by(3).map(|&v| (v, v.0 % 2 == 0)).collect();
+    let assign = m.cube(&lits);
+    for r in [f, g, assign] {
+        m.protect(r);
+    }
+    let reference = fused_steps(&mut m, f, g, assign);
+    for r in reference {
+        m.protect(r);
+    }
+    type Step = fn(&mut BddManager, Ref, Ref, Ref) -> Result<Ref, pnsym_bdd::Interrupt>;
+    let steps: [Step; 3] = [
+        |m, f, g, t| m.try_and_exists_assign(f, g, t),
+        |m, f, g, t| m.try_and_cofactor(f, g, t),
+        |m, f, g, t| m.try_and_cofactor(g, f, t),
+    ];
+    for (step, expected) in steps.into_iter().zip(reference) {
+        let roots = m.protected_root_count();
+        m.clear_cache();
+        m.install_budget(Budget::new().with_step_ceiling(10));
+        let err = step(&mut m, f, g, assign).unwrap_err();
+        assert_eq!(err.reason, TruncationReason::StepBudget);
+        assert!(m.check_invariants().is_ok());
+        assert_eq!(m.protected_root_count(), roots);
+        m.take_budget().expect("budget still installed");
+        assert_eq!(step(&mut m, f, g, assign).unwrap(), expected);
     }
 }

@@ -142,10 +142,10 @@ impl SymbolicContext {
 
     /// The precomputed [`ImagePlan`] of this context, built on first use.
     ///
-    /// The plan's BDDs (enabling functions, quantification cubes, target
-    /// cubes) are protected in the manager, so the plan stays valid across
-    /// garbage collection and reordering for the context's lifetime. The
-    /// returned handle is cheap to clone and does not borrow the context.
+    /// The plan's BDDs (enabling functions and target cubes) are protected
+    /// in the manager, so the plan stays valid across garbage collection
+    /// and reordering for the context's lifetime. The returned handle is
+    /// cheap to clone and does not borrow the context.
     pub fn image_plan(&mut self) -> Rc<ImagePlan> {
         if self.plan.is_none() {
             let plan = ImagePlan::build(self);
@@ -155,9 +155,8 @@ impl SymbolicContext {
     }
 
     /// The plan of the backward image: the same [`Rc`] as
-    /// [`SymbolicContext::image_plan`], whose enabling functions, target
-    /// cubes and quantification cubes the pre-image composes in the
-    /// opposite order. Kept for source compatibility.
+    /// [`SymbolicContext::image_plan`], whose enabling functions and target
+    /// cubes the pre-image reads too. Kept for source compatibility.
     pub fn pre_image_plan(&mut self) -> Rc<ImagePlan> {
         self.image_plan()
     }
@@ -276,13 +275,11 @@ impl SymbolicContext {
     /// Whether the encoded marking `m` belongs to the set `set`.
     pub fn set_contains(&self, set: Ref, m: &Marking) -> bool {
         let bits = self.encoding.encode_marking(m);
-        let vars = self.current_vars.clone();
-        self.manager.eval(set, |v| {
-            vars.iter()
-                .position(|&cv| cv == v)
-                .map(|i| bits[i])
-                .unwrap_or(false)
-        })
+        let mut value = vec![false; self.manager.num_vars()];
+        for (&v, &bit) in self.current_vars.iter().zip(&bits) {
+            value[v.index()] = bit;
+        }
+        self.manager.eval(set, |v| value[v.index()])
     }
 
     /// Number of markings in a set of encoded markings (exact for counts

@@ -3,11 +3,16 @@
 //! Under every encoding of this crate, firing a transition `t` drives each
 //! affected variable to a *constant*: a place variable becomes 1 or 0, and
 //! the variables of an SMC covering `t` take the code of `t`'s output place
-//! inside the component (eq. 6). The efficient image computation therefore
-//! quantifies the changed variables out of `S ∧ E_t` and conjoins the target
-//! constants — the symbolic counterpart of the "toggle" updates the paper
-//! describes. The per-transition artefacts (enabling function,
-//! quantification cube, target cube) are precomputed once per context by
+//! inside the component (eq. 6). The image of `S` under `t` is therefore
+//! `(∃W_t. S ∧ E_t) ∧ T_t`: quantify the written variables `W_t` out of
+//! `S ∧ E_t` and set them to the target constants `T_t` — the symbolic
+//! counterpart of the "toggle" updates the paper describes. The kernel's
+//! [`and_exists_assign`](pnsym_bdd::BddManager::and_exists_assign) does
+//! both in one recursion: at each written variable it ORs the two
+//! cofactor results and emits the target literal in place, so the
+//! quantified product is never built on its own. Its support `W_t` is read
+//! off the target cube, so the per-transition artefacts are just the
+//! enabling function and the target cube, precomputed once per context by
 //! the [`ImagePlan`](crate::plan::ImagePlan) and reused by every call. The
 //! explicit two-vocabulary transition relations `R_t(P, Q)` (eq. 3) are
 //! also provided, mainly for cross-validation.
@@ -95,23 +100,18 @@ impl SymbolicContext {
     /// The set of markings reached by firing `t` once from some marking in
     /// `from` (the image of `from` under `t`), over the current variables.
     ///
-    /// Uses the precomputed [`ImagePlan`](crate::plan::ImagePlan): the
-    /// enabling function, quantification cube and target cube of `t` are
-    /// built once per context, not per call.
+    /// One pass of the kernel's `and_exists_assign` over the precomputed
+    /// [`ImagePlan`](crate::plan::ImagePlan) artefacts of `t`: its enabling
+    /// function and target cube are built once per context, not per call.
     pub fn image(&mut self, from: Ref, t: TransitionId) -> Ref {
         let plan = self.image_plan();
-        let (cluster, planned) = plan.planned(t);
-        let m = self.manager_mut();
-        let quantified = m.and_exists_cube(from, planned.enabling, cluster.quant_cube);
-        if quantified == m.zero() {
-            return quantified;
-        }
-        m.and(quantified, planned.target)
+        let (_, planned) = plan.planned(t);
+        self.manager_mut()
+            .and_exists_assign(from, planned.enabling, planned.target)
     }
 
-    /// The image of `from` under every transition of one plan cluster: the
-    /// shared quantification cube is walked once per member, and the
-    /// members' partial images are OR-folded.
+    /// The image of `from` under every transition of one plan cluster: one
+    /// `and_exists_assign` pass per member, OR-folded.
     pub fn cluster_image(&mut self, cluster: usize, from: Ref) -> Ref {
         self.try_cluster_image(cluster, from)
             .expect("budget breached inside an infallible image computation; governed callers must use try_cluster_image")
@@ -122,15 +122,10 @@ impl SymbolicContext {
     /// one of the member firings, leaving no partial protections behind.
     pub fn try_cluster_image(&mut self, cluster: usize, from: Ref) -> Result<Ref, Interrupt> {
         let plan = self.image_plan();
-        let c = &plan.clusters()[cluster];
         let mut acc = self.manager().zero();
-        for member in &c.members {
+        for member in &plan.clusters()[cluster].members {
             let m = self.manager_mut();
-            let quantified = m.try_and_exists_cube(from, member.enabling, c.quant_cube)?;
-            if quantified == m.zero() {
-                continue;
-            }
-            let img = m.try_and(quantified, member.target)?;
+            let img = m.try_and_exists_assign(from, member.enabling, member.target)?;
             acc = m.try_or(acc, img)?;
         }
         Ok(acc)

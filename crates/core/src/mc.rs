@@ -321,21 +321,23 @@ impl SymbolicContext {
     /// The pre-image of `target` under transition `t`: the markings that
     /// enable `t` and reach a marking of `target` by firing it.
     ///
-    /// Uses the precomputed [`ImagePlan`](crate::plan::ImagePlan): the
-    /// enabling function, target cube and quantification cube of `t` are
-    /// built once per context, not per call.
+    /// `E_t ∧ target[W_t := T_t]`: `target` with the variables `t` writes
+    /// fixed to its target constants, conjoined with its enabling
+    /// function, in one pass of the kernel's `and_cofactor` over the
+    /// precomputed [`ImagePlan`](crate::plan::ImagePlan) artefacts of `t`
+    /// (built once per context, not per call).
     pub fn pre_image(&mut self, target: Ref, t: TransitionId) -> Ref {
         let plan = self.image_plan();
-        let (cluster, planned) = plan.planned(t);
-        self.try_member_pre_image(cluster, planned, target)
+        let (_, planned) = plan.planned(t);
+        self.try_member_pre_image(planned, target)
             .expect("budget breached inside an infallible pre-image; governed callers must use try_pre_image_all")
     }
 
     /// The pre-image of `target` under all transitions (one backward step),
     /// folded cluster by cluster in the plan's backward order: its
     /// structural order with the ranks reversed, clusters of equal rank in
-    /// ascending order. Within a cluster the shared quantification cube is
-    /// walked once per member and the members' pre-images are OR-folded.
+    /// ascending order. Within a cluster the members' one-pass pre-images
+    /// ([`SymbolicContext::pre_image`]) are OR-folded.
     pub fn pre_image_all(&mut self, target: Ref) -> Ref {
         self.try_pre_image_all(target)
             .expect("budget breached inside an infallible pre-image; governed callers must use try_pre_image_all")
@@ -366,9 +368,7 @@ impl SymbolicContext {
     }
 
     /// The pre-image of `target` under the members of one cluster (those
-    /// `keep` holds, given a mask indexed by transition): the shared
-    /// quantification cube is walked once per member and the members'
-    /// pre-images are OR-folded.
+    /// `keep` holds, given a mask indexed by transition), OR-folded.
     fn try_cluster_pre_image(
         &mut self,
         cluster: &ImageCluster,
@@ -380,26 +380,21 @@ impl SymbolicContext {
             if keep.is_some_and(|keep| !keep[member.transition.index()]) {
                 continue;
             }
-            let pre = self.try_member_pre_image(cluster, member, target)?;
+            let pre = self.try_member_pre_image(member, target)?;
             part = self.manager_mut().try_or(part, pre)?;
         }
         Ok(part)
     }
 
-    /// The pre-image of `target` under one member of `cluster`.
+    /// The pre-image of `target` under one planned transition:
+    /// `E_t ∧ target[W_t := T_t]` in one `and_cofactor` pass.
     fn try_member_pre_image(
         &mut self,
-        cluster: &ImageCluster,
         member: &PlannedTransition,
         target: Ref,
     ) -> Result<Ref, Interrupt> {
-        let m = self.manager_mut();
-        // target[W_t := T_t] = ∃W_t. (target ∧ T_t)
-        let substituted = m.try_and_exists_cube(target, member.target, cluster.quant_cube)?;
-        if substituted == m.zero() {
-            return Ok(substituted);
-        }
-        m.try_and(member.enabling, substituted)
+        self.manager_mut()
+            .try_and_cofactor(member.enabling, target, member.target)
     }
 
     /// CTL `EX target` restricted to `within`: states of `within` with a
@@ -574,7 +569,7 @@ impl SymbolicContext {
         let mut labels = vec![false; self.net().num_transitions()];
         for cluster in plan.clusters() {
             for member in &cluster.members {
-                let pre = self.try_member_pre_image(cluster, member, a)?;
+                let pre = self.try_member_pre_image(member, a)?;
                 let inside = self.manager_mut().try_and(pre, a)?;
                 labels[member.transition.index()] = inside != self.manager().zero();
             }

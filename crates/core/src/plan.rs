@@ -5,14 +5,14 @@
 //! Under every encoding of this crate a transition drives the variables it
 //! writes to constants (eq. 6), so its image is
 //! `(∃W_t. S ∧ E_t) ∧ T_t` where `W_t` is the written-variable set and
-//! `T_t` the cube of target constants. The naive engine rebuilt `W_t` and
-//! `T_t` on every call; the [`ImagePlan`] precomputes the enabling function,
-//! the quantification cube and the target cube per transition, protects
-//! them across garbage collection, and groups transitions whose written
-//! sets coincide into [`ImageCluster`]s so the shared quantification cube
-//! is built (and its variables quantified) once per cluster. The pre-image
-//! composes the same three artefacts in the opposite order,
-//! `E_t ∧ ∃W_t. (S ∧ T_t)`, so the CTL checker reads this plan too.
+//! `T_t` the cube of target constants. `W_t` is exactly the support of
+//! `T_t`, so the kernel computes the image in one recursion from the two
+//! (`and_exists_assign`), and the pre-image `E_t ∧ S[W_t := T_t]` likewise
+//! (`and_cofactor`); the CTL checker reads this plan too. The [`ImagePlan`]
+//! precomputes the enabling function and the target cube per transition,
+//! protects them across garbage collection, and groups transitions whose
+//! written sets coincide into [`ImageCluster`]s, the unit the traversal
+//! strategies schedule.
 //!
 //! The plan also carries the *structural order*: a transition ordering
 //! derived from the net structure (breadth-first distance of each
@@ -38,18 +38,13 @@ pub struct PlannedTransition {
     pub target: Ref,
 }
 
-/// A group of transitions writing exactly the same set of state variables.
-///
-/// Members share one positive quantification cube over the written
-/// variables, so the cube is built once and the shared variables are
-/// quantified out of `S ∧ E_t` through a single cube walk per member.
+/// A group of transitions writing exactly the same set of state variables:
+/// the unit the traversal strategies fire and schedule. Each member's
+/// target cube has the written variables as its support.
 #[derive(Debug, Clone)]
 pub struct ImageCluster {
     /// The written state-variable indices, sorted ascending.
     pub var_indices: Vec<usize>,
-    /// Positive cube over the written *current* BDD variables, used as the
-    /// quantification set of the relational product.
-    pub quant_cube: Ref,
     /// The member transitions, in ascending transition order.
     pub members: Vec<PlannedTransition>,
     /// Structural rank of the cluster: the minimum breadth-first distance
@@ -80,8 +75,8 @@ pub struct ImagePlan {
 
 impl ImagePlan {
     /// Builds the plan for `ctx`: one cluster per distinct written-variable
-    /// set, with enabling functions, quantification cubes and target cubes
-    /// precomputed and protected in the context's manager.
+    /// set, with enabling functions and target cubes precomputed and
+    /// protected in the context's manager.
     pub(crate) fn build(ctx: &mut SymbolicContext) -> ImagePlan {
         let num_transitions = ctx.net().num_transitions();
         let ranks = structural_transition_ranks(ctx.net());
@@ -105,14 +100,6 @@ impl ImagePlan {
         let mut clusters = Vec::with_capacity(keyed.len());
         let mut location_of = vec![(0usize, 0usize); num_transitions];
         for (var_indices, transitions) in keyed {
-            let quant_vars: Vec<VarId> =
-                var_indices.iter().map(|&i| ctx.current_vars()[i]).collect();
-            let quant_cube = {
-                let m = ctx.manager_mut();
-                let cube = m.var_cube(&quant_vars);
-                m.protect(cube);
-                cube
-            };
             let mut members = Vec::with_capacity(transitions.len());
             let mut rank = usize::MAX;
             for t in transitions {
@@ -139,7 +126,6 @@ impl ImagePlan {
             }
             clusters.push(ImageCluster {
                 var_indices,
-                quant_cube,
                 members,
                 rank,
             });
@@ -353,12 +339,6 @@ mod tests {
         // rebuilding it finds the very same nodes, so no node is allocated.
         let live = ctx.manager().live_node_count();
         for cluster in plan.clusters() {
-            let vars: Vec<VarId> = cluster
-                .var_indices
-                .iter()
-                .map(|&i| ctx.current_vars()[i])
-                .collect();
-            assert_eq!(ctx.manager_mut().var_cube(&vars), cluster.quant_cube);
             for member in &cluster.members {
                 let lits: Vec<(VarId, bool)> = ctx
                     .transition_effect(member.transition)
@@ -386,6 +366,12 @@ mod tests {
         );
         let plan = ctx.image_plan();
         for cluster in plan.clusters() {
+            let mut vars: Vec<VarId> = cluster
+                .var_indices
+                .iter()
+                .map(|&i| ctx.current_vars()[i])
+                .collect();
+            vars.sort_unstable();
             for member in &cluster.members {
                 let written: Vec<usize> = ctx
                     .transition_effect(member.transition)
@@ -394,6 +380,9 @@ mod tests {
                     .map(|&(i, _)| i)
                     .collect();
                 assert_eq!(written, cluster.var_indices);
+                // The one-pass image quantifies exactly the target cube's
+                // support, so it must be the written set.
+                assert_eq!(ctx.manager().support(member.target), vars);
             }
         }
         // figure1 under the improved encoding has two SMC blocks, so the

@@ -6,10 +6,14 @@
 //! records no rings), and keeps its frontier "onion rings" until an image
 //! meets the target; a witness is then rebuilt backwards, ring by ring, by
 //! asking which transition can step from the previous ring into the
-//! current prefix of the trace (a [`SymbolicContext::pre_image`] query
-//! through the precomputed image plan). The result is a list of
-//! `(transition, marking)` pairs that the token game of `pnsym-net`
-//! re-validates.
+//! current prefix of the trace. That step, and every single-marking step
+//! of the other modes, plays the token game instead of computing a BDD
+//! image: in a safe net a marking has at most one successor and one
+//! predecessor under a given transition, so trying the transitions in
+//! index order and testing membership of that one marking gives the same
+//! choice as intersecting a symbolic image with the set. The result is a
+//! list of `(transition, marking)` pairs that the token game of
+//! `pnsym-net` re-validates.
 //!
 //! Three extraction modes serve the CTL checker
 //! ([`SymbolicContext::check_property`](crate::SymbolicContext::check_property)):
@@ -169,21 +173,10 @@ impl SymbolicContext {
         // Backward pass: for each ring find a predecessor marking and the
         // transition that was fired; `current` starts one step beyond the
         // last ring.
-        for ring_index in (0..rings.len()).rev() {
-            let prev_ring = rings[ring_index];
-            let current_cube = self.marking_to_bdd(&current);
-            let mut found = None;
-            for ti in 0..self.net().num_transitions() {
-                let t = TransitionId(ti as u32);
-                let pre = self.pre_image(current_cube, t);
-                let candidates = self.manager_mut().and(pre, prev_ring);
-                if candidates != zero {
-                    let m = self.pick_marking(candidates).expect("non-empty");
-                    found = Some((m, t));
-                    break;
-                }
-            }
-            let (m, t) = found.expect("every ring element has a predecessor in the previous ring");
+        for &prev_ring in rings.iter().rev() {
+            let (t, m) = self
+                .predecessor_in(prev_ring, &current)
+                .expect("every ring element has a predecessor in the previous ring");
             transitions.push(t);
             markings.push(m.clone());
             current = m;
@@ -212,21 +205,12 @@ impl SymbolicContext {
     /// transition), where the general ring search would return an empty
     /// trace.
     pub fn one_step_trace(&mut self, target: Ref) -> Option<WitnessTrace> {
-        let zero = self.manager().zero();
-        let init = self.initial_set();
-        for ti in 0..self.net().num_transitions() {
-            let t = TransitionId(ti as u32);
-            let img = self.image(init, t);
-            let hit = self.manager_mut().and(img, target);
-            if hit != zero {
-                let m = self.pick_marking(hit).expect("non-empty");
-                return Some(WitnessTrace {
-                    markings: vec![self.net().initial_marking().clone(), m],
-                    transitions: vec![t],
-                });
-            }
-        }
-        None
+        let init = self.net().initial_marking().clone();
+        let (t, m) = self.successor_in(target, &init)?;
+        Some(WitnessTrace {
+            markings: vec![init, m],
+            transitions: vec![t],
+        })
     }
 
     /// Extracts a lasso-shaped run from the initial marking through `set`:
@@ -239,12 +223,10 @@ impl SymbolicContext {
     /// cycle. Returns `None` if the initial marking is not in `set` or the
     /// walk falls out of it (a non-core input).
     pub fn lasso_from_initial(&mut self, set: Ref) -> Option<WitnessTrace> {
-        let zero = self.manager().zero();
-        let init = self.initial_set();
-        if self.manager_mut().and(init, set) == zero {
+        let mut current = self.net().initial_marking().clone();
+        if !self.set_contains(set, &current) {
             return None;
         }
-        let mut current = self.net().initial_marking().clone();
         let mut markings = vec![current.clone()];
         let mut transitions = Vec::new();
         let mut seen: HashMap<Marking, usize> = HashMap::new();
@@ -253,19 +235,7 @@ impl SymbolicContext {
         // against astronomically large cores.
         const MAX_STEPS: usize = 100_000;
         for _ in 0..MAX_STEPS {
-            let cube = self.marking_to_bdd(&current);
-            let mut found = None;
-            for ti in 0..self.net().num_transitions() {
-                let t = TransitionId(ti as u32);
-                let img = self.image(cube, t);
-                let staying = self.manager_mut().and(img, set);
-                if staying != zero {
-                    let m = self.pick_marking(staying).expect("non-empty");
-                    found = Some((t, m));
-                    break;
-                }
-            }
-            let (t, next) = found?;
+            let (t, next) = self.successor_in(set, &current)?;
             transitions.push(t);
             markings.push(next.clone());
             if seen.contains_key(&next) {
@@ -278,6 +248,35 @@ impl SymbolicContext {
             current = next;
         }
         None
+    }
+
+    /// The first transition, in index order, whose firing leads from `m`
+    /// into `set`, with the marking it leads to.
+    fn successor_in(&self, set: Ref, m: &Marking) -> Option<(TransitionId, Marking)> {
+        let net = self.net();
+        net.transitions().find_map(|t| {
+            let next = net.fire(m, t).ok()?;
+            self.set_contains(set, &next).then_some((t, next))
+        })
+    }
+
+    /// The first transition, in index order, that leads to `m` from a
+    /// marking of `set`, with that marking. In a safe net the predecessor
+    /// of `m` under `t` is unique: `(m \ t•) ∪ •t`, valid when firing `t`
+    /// there gives `m` back.
+    fn predecessor_in(&self, set: Ref, m: &Marking) -> Option<(TransitionId, Marking)> {
+        let net = self.net();
+        net.transitions().find_map(|t| {
+            let mut prev = m.clone();
+            for &p in net.post_set(t) {
+                prev.set(p, false);
+            }
+            for &p in net.pre_set(t) {
+                prev.set(p, true);
+            }
+            let fires_back = net.fire(&prev, t).is_ok_and(|next| next == *m);
+            (fires_back && self.set_contains(set, &prev)).then_some((t, prev))
+        })
     }
 
     /// Extracts one concrete marking from a non-empty set of encoded
