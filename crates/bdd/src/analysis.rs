@@ -89,7 +89,12 @@ impl BddManager {
     }
 
     /// Number of satisfying assignments of `f` over `nvars` variables,
-    /// as a floating point value (exact for counts below 2^53).
+    /// as a floating point value.
+    ///
+    /// The count is approximate. A complemented edge is read as `2^k − c`,
+    /// which cancels in `f64` once `k` passes 53, even when the true count
+    /// is small: phil-14 under the sparse encoding (98 variables) counts 0.
+    /// Exact counting is open (ROADMAP.md, item 1).
     ///
     /// `nvars` must be at least the number of support variables of `f`;
     /// typically it is the total number of variables of the encoding.

@@ -282,9 +282,10 @@ impl SymbolicContext {
         self.manager.eval(set, |v| value[v.index()])
     }
 
-    /// Number of markings in a set of encoded markings (exact for counts
-    /// below 2^53). Because the encoding is injective this equals the BDD
-    /// satisfying-assignment count over the current state variables.
+    /// Number of markings in a set of encoded markings. Because the
+    /// encoding is injective this equals the BDD satisfying-assignment
+    /// count over the current state variables, which is approximate past
+    /// 53 variables (see [`BddManager::sat_count`]).
     pub fn count_markings(&self, set: Ref) -> f64 {
         self.manager.sat_count(set, self.encoding.num_vars())
     }

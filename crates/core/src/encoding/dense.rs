@@ -7,9 +7,8 @@
 
 use super::assign::{assign_codes, AssignmentStrategy};
 use super::{Block, Encoding, SchemeKind};
-use pnsym_net::{PetriNet, PlaceId};
+use pnsym_net::{PetriNet, PlaceId, PlaceSet};
 use pnsym_structural::{select_smc_cover, CoverStrategy, Smc};
-use std::collections::BTreeSet;
 
 pub(super) fn build(
     net: &PetriNet,
@@ -20,7 +19,7 @@ pub(super) fn build(
     let cover = select_smc_cover(net, smcs, strategy);
     let mut blocks = Vec::new();
     let mut next_var = 0usize;
-    let mut owned_places: BTreeSet<PlaceId> = BTreeSet::new();
+    let mut owned_places = PlaceSet::new(net.num_places());
 
     // Lay the chosen components and the singleton places out by their lowest
     // place index so that the variables of strongly interacting components
@@ -33,12 +32,7 @@ pub(super) fn build(
         .chosen
         .iter()
         .map(|&i| {
-            let anchor = smcs[i]
-                .places()
-                .iter()
-                .copied()
-                .min()
-                .expect("non-empty SMC");
+            let anchor = smcs[i].places()[0];
             (anchor, Pending::Smc(i))
         })
         .collect();

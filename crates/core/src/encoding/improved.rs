@@ -9,9 +9,8 @@
 
 use super::assign::{assign_codes, AssignmentStrategy};
 use super::{Block, Encoding, SchemeKind};
-use pnsym_net::{PetriNet, PlaceId};
+use pnsym_net::{PetriNet, PlaceId, PlaceSet};
 use pnsym_structural::Smc;
-use std::collections::BTreeSet;
 
 pub(super) fn build(net: &PetriNet, smcs: &[Smc], assignment: AssignmentStrategy) -> Encoding {
     build_with(net, smcs, assignment, false)
@@ -25,82 +24,91 @@ pub(super) fn build_with(
 ) -> Encoding {
     // Usable components hold exactly one token.
     let usable: Vec<&Smc> = smcs.iter().filter(|s| s.initial_tokens() == 1).collect();
-    let mut covered: BTreeSet<PlaceId> = BTreeSet::new();
-    let mut chosen: Vec<(&Smc, Vec<bool>, u32)> = Vec::new(); // (smc, owns, width)
-    let mut used: Vec<bool> = vec![false; usable.len()];
-
-    // Greedy selection: repeatedly add the component with the lowest cost
-    // per newly covered place, as long as it beats encoding the new places
-    // one variable each. Following the paper, a component adding fewer than
-    // two new places is never selected (its places are left to singleton
-    // variables), which reproduces the 8-variable encoding of Table 1.
-    // With `allow_zero_width` (an extension beyond the paper) a component
-    // whose single new place is otherwise fully covered costs zero fresh
+    // Following the paper, a component adding fewer than two new places is
+    // never selected (its places are left to singleton variables), which
+    // reproduces the 8-variable encoding of Table 1. With
+    // `allow_zero_width` (an extension beyond the paper) a component whose
+    // single new place is otherwise fully covered costs zero fresh
     // variables: the place's marking is implied by the rest of its SMC.
     let min_new = if allow_zero_width { 1 } else { 2 };
+    materialise(net, select(net, &usable, min_new), assignment)
+}
+
+/// A selected component: the SMC, which of its places it owns, and its
+/// number of fresh variables.
+type Chosen<'a> = (&'a Smc, Vec<bool>, u32);
+
+/// Greedy selection: repeatedly add the component with the lowest cost per
+/// newly covered place, `⌈log2 new⌉ / new` (ties: more new places, then the
+/// earlier candidate), among those adding at least `min_new` places. Any
+/// such component beats encoding its new places one variable each, since
+/// `⌈log2 n⌉ < n`.
+///
+/// A candidate's new places are `|smc \ covered|`, one popcount pass over
+/// the words. Covered places only accumulate, so a candidate that falls
+/// below `min_new` never qualifies again and leaves the candidate list
+/// (the chosen one included: it has no new place left).
+fn select<'a>(net: &PetriNet, usable: &[&'a Smc], min_new: usize) -> Vec<Chosen<'a>> {
+    let mut covered = PlaceSet::new(net.num_places());
+    let mut candidates: Vec<&Smc> = usable.to_vec();
+    let mut chosen = Vec::new();
     loop {
-        let mut best: Option<(usize, usize, u32)> = None; // (candidate, new, width)
-        for (i, smc) in usable.iter().enumerate() {
-            if used[i] {
-                continue;
+        let mut best: Option<(&Smc, usize, u32)> = None; // (candidate, new, width)
+        candidates.retain(|&smc| {
+            let new = smc.place_set().difference_len(&covered);
+            if new < min_new {
+                return false;
             }
-            let new: Vec<PlaceId> = smc
-                .places()
-                .iter()
-                .copied()
-                .filter(|p| !covered.contains(p))
-                .collect();
-            if new.len() < min_new {
-                continue;
-            }
-            let width = (new.len() as u32).next_power_of_two().trailing_zeros();
-            // Only worthwhile if it uses fewer variables than singletons.
-            if width as usize >= new.len() {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((_, bnew, bwidth)) => {
-                    (width as u64) * (bnew as u64) < (bwidth as u64) * (new.len() as u64)
-                        || ((width as u64) * (bnew as u64) == (bwidth as u64) * (new.len() as u64)
-                            && new.len() > bnew)
-                }
-            };
+            let width = (new as u32).next_power_of_two().trailing_zeros();
+            let better = best.is_none_or(|(_, bnew, bwidth)| {
+                let (lhs, rhs) = (
+                    u64::from(width) * bnew as u64,
+                    u64::from(bwidth) * new as u64,
+                );
+                lhs < rhs || (lhs == rhs && new > bnew)
+            });
             if better {
-                best = Some((i, new.len(), width));
+                best = Some((smc, new, width));
             }
-        }
-        let Some((i, _, width)) = best else { break };
-        used[i] = true;
-        let smc = usable[i];
-        let owns: Vec<bool> = smc.places().iter().map(|p| !covered.contains(p)).collect();
-        covered.extend(smc.places().iter().copied());
+            true
+        });
+        let Some((smc, _, width)) = best else { break };
+        let owns: Vec<bool> = smc.places().iter().map(|&p| !covered.contains(p)).collect();
+        covered.union_with(smc.place_set());
         chosen.push((smc, owns, width));
     }
+    chosen
+}
 
-    // Materialise the blocks. Blocks (components and left-over singleton
-    // places alike) are laid out in the order of their lowest owned place
-    // index: the generators declare places unit by unit (stage, philosopher,
-    // ring node, …), so this keeps the variables of strongly interacting
-    // components adjacent in the BDD order.
+/// Lays out the selected components and the places no component covers as
+/// blocks. Blocks are ordered by their lowest owned place index: the
+/// generators declare places unit by unit (stage, philosopher, ring node,
+/// …), so this keeps the variables of strongly interacting components
+/// adjacent in the BDD order.
+fn materialise(
+    net: &PetriNet,
+    chosen: Vec<Chosen<'_>>,
+    assignment: AssignmentStrategy,
+) -> Encoding {
     enum Pending<'a> {
         Smc(&'a Smc, Vec<bool>, u32),
         Single(PlaceId),
     }
+    let mut covered = PlaceSet::new(net.num_places());
     let mut pending: Vec<(PlaceId, Pending<'_>)> = Vec::new();
     for (smc, owns, width) in chosen {
+        covered.union_with(smc.place_set());
         let anchor = smc
             .places()
             .iter()
             .zip(&owns)
-            .filter(|&(_, &o)| o)
+            .find(|&(_, &o)| o)
             .map(|(&p, _)| p)
-            .min()
             .expect("a block owns at least one place");
         pending.push((anchor, Pending::Smc(smc, owns, width)));
     }
     for p in net.places() {
-        if !covered.contains(&p) {
+        if !covered.contains(p) {
             pending.push((p, Pending::Single(p)));
         }
     }
@@ -137,8 +145,127 @@ pub(super) fn build_with(
 #[cfg(test)]
 mod tests {
     use super::super::{AssignmentStrategy, Block, Encoding};
-    use pnsym_net::nets::{dme, figure1, muller, philosophers, slotted_ring, DmeStyle};
-    use pnsym_structural::{find_smcs, CoverStrategy};
+    use super::{materialise, Chosen};
+    use pnsym_net::nets::{
+        dme, figure1, jjreg, muller, philosophers, random_composed, slotted_ring, DmeStyle,
+        JjregVariant, RandomNetConfig,
+    };
+    use pnsym_net::{PetriNet, PlaceId};
+    use pnsym_structural::{find_smcs, CoverStrategy, Smc};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The selection loop as it was before the bitsets, kept as the oracle:
+    /// an ordered set of covered places, a `used` flag per candidate, and a
+    /// fresh list of new places per candidate per round.
+    fn oracle_select<'a>(usable: &[&'a Smc], min_new: usize) -> Vec<Chosen<'a>> {
+        let mut covered: BTreeSet<PlaceId> = BTreeSet::new();
+        let mut chosen = Vec::new();
+        let mut used: Vec<bool> = vec![false; usable.len()];
+        loop {
+            let mut best: Option<(usize, usize, u32)> = None;
+            for (i, smc) in usable.iter().enumerate() {
+                if used[i] {
+                    continue;
+                }
+                let new: Vec<PlaceId> = smc
+                    .places()
+                    .iter()
+                    .copied()
+                    .filter(|p| !covered.contains(p))
+                    .collect();
+                if new.len() < min_new {
+                    continue;
+                }
+                let width = (new.len() as u32).next_power_of_two().trailing_zeros();
+                if width as usize >= new.len() {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some((_, bnew, bwidth)) => {
+                        (width as u64) * (bnew as u64) < (bwidth as u64) * (new.len() as u64)
+                            || ((width as u64) * (bnew as u64)
+                                == (bwidth as u64) * (new.len() as u64)
+                                && new.len() > bnew)
+                    }
+                };
+                if better {
+                    best = Some((i, new.len(), width));
+                }
+            }
+            let Some((i, _, width)) = best else { break };
+            used[i] = true;
+            let smc = usable[i];
+            let owns: Vec<bool> = smc.places().iter().map(|p| !covered.contains(p)).collect();
+            covered.extend(smc.places().iter().copied());
+            chosen.push((smc, owns, width));
+        }
+        chosen
+    }
+
+    /// The improved encoding, with and without zero-width blocks, equals
+    /// the one laid out from the oracle's selection, block for block.
+    fn assert_matches_the_oracle(net: &PetriNet) {
+        let smcs = find_smcs(net).unwrap();
+        let usable: Vec<&Smc> = smcs.iter().filter(|s| s.initial_tokens() == 1).collect();
+        for (encoding, min_new) in [
+            (Encoding::improved(net, &smcs, AssignmentStrategy::Gray), 2),
+            (
+                Encoding::improved_with_zero_width(net, &smcs, AssignmentStrategy::Gray),
+                1,
+            ),
+        ] {
+            let oracle = materialise(
+                net,
+                oracle_select(&usable, min_new),
+                AssignmentStrategy::Gray,
+            );
+            assert_eq!(encoding.blocks(), oracle.blocks(), "{}", net.name());
+            assert_eq!(encoding.num_vars(), oracle.num_vars(), "{}", net.name());
+        }
+    }
+
+    #[test]
+    fn selection_matches_the_oracle_on_bundled_families() {
+        let mut nets = vec![figure1(), jjreg(JjregVariant::A), jjreg(JjregVariant::B)];
+        for n in 2..=6 {
+            nets.push(philosophers(n));
+            nets.push(slotted_ring(n));
+        }
+        for n in [4, 8, 12] {
+            nets.push(muller(n));
+        }
+        for n in 2..=8 {
+            nets.push(dme(n, DmeStyle::Spec));
+            nets.push(dme(n, DmeStyle::Circuit));
+        }
+        for net in &nets {
+            assert_matches_the_oracle(net);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn selection_matches_the_oracle_on_random_nets(
+            seed in 0u64..1_000_000,
+            components in 1usize..6,
+            syncs in 0usize..6,
+        ) {
+            let net = random_composed(
+                RandomNetConfig {
+                    components,
+                    min_places: 2,
+                    max_places: 6,
+                    synchronisations: syncs,
+                },
+                seed,
+            );
+            assert_matches_the_oracle(&net);
+        }
+    }
 
     #[test]
     fn never_uses_more_variables_than_the_basic_scheme() {

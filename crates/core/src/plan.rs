@@ -23,7 +23,7 @@
 
 use crate::context::SymbolicContext;
 use pnsym_bdd::{Ref, VarId};
-use pnsym_net::{PetriNet, TransitionId};
+use pnsym_net::{PetriNet, PlaceId, PlaceSet, TransitionId};
 use std::collections::HashMap;
 
 /// One transition's precomputed image artefacts inside a cluster.
@@ -66,11 +66,11 @@ pub struct ImagePlan {
     structural_order: Vec<usize>,
     /// `location_of[t] = (cluster, member)` for every transition `t`.
     location_of: Vec<(usize, usize)>,
-    /// Per-cluster place bitsets (one `u64` word per 64 places): the union
-    /// of the members' pre-sets and post-sets, backing the O(words)
-    /// [`ImagePlan::cluster_feeds`] test of the saturation scheduler.
-    pre_places: Vec<Vec<u64>>,
-    post_places: Vec<Vec<u64>>,
+    /// Per-cluster place sets: the union of the members' pre-sets and
+    /// post-sets, backing the O(words) [`ImagePlan::cluster_feeds`] test
+    /// of the saturation scheduler.
+    pre_places: Vec<PlaceSet>,
+    post_places: Vec<PlaceSet>,
 }
 
 impl ImagePlan {
@@ -134,19 +134,19 @@ impl ImagePlan {
         let mut structural_order: Vec<usize> = (0..clusters.len()).collect();
         structural_order.sort_by_key(|&c| (clusters[c].rank, c));
 
-        let words = ctx.net().num_places().div_ceil(64);
-        let mut pre_places = vec![vec![0u64; words]; clusters.len()];
-        let mut post_places = vec![vec![0u64; words]; clusters.len()];
-        for (ci, cluster) in clusters.iter().enumerate() {
-            for member in &cluster.members {
-                for p in ctx.net().pre_set(member.transition) {
-                    pre_places[ci][p.index() / 64] |= 1 << (p.index() % 64);
-                }
-                for p in ctx.net().post_set(member.transition) {
-                    post_places[ci][p.index() / 64] |= 1 << (p.index() % 64);
-                }
-            }
-        }
+        let net = ctx.net();
+        let place_sets = |arcs: fn(&PetriNet, TransitionId) -> &[PlaceId]| -> Vec<PlaceSet> {
+            clusters
+                .iter()
+                .map(|cluster| {
+                    let members = cluster.members.iter();
+                    let places = members.flat_map(|m| arcs(net, m.transition).iter().copied());
+                    PlaceSet::from_places(net.num_places(), places)
+                })
+                .collect()
+        };
+        let pre_places = place_sets(PetriNet::pre_set);
+        let post_places = place_sets(PetriNet::post_set);
 
         ImagePlan {
             clusters,
@@ -189,10 +189,7 @@ impl ImagePlan {
     /// pre-set). One word-AND pass over precomputed place bitsets; the
     /// saturation scheduler calls this O(clusters²) times per traversal.
     pub fn cluster_feeds(&self, from: usize, to: usize) -> bool {
-        self.post_places[from]
-            .iter()
-            .zip(&self.pre_places[to])
-            .any(|(&p, &q)| p & q != 0)
+        self.post_places[from].intersects(&self.pre_places[to])
     }
 }
 

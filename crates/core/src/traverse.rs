@@ -247,7 +247,8 @@ impl TraversalOptions {
 pub struct ReachabilityResult {
     /// The reached set (over the current state variables).
     pub reached: Ref,
-    /// Number of reachable markings (exact below 2^53).
+    /// Number of reachable markings: approximate once the encoding passes
+    /// 53 variables (see [`pnsym_bdd::BddManager::sat_count`]).
     pub num_markings: f64,
     /// Number of fixpoint iterations: breadth-first steps under
     /// [`FixpointStrategy::Bfs`], productive level sweeps under

@@ -24,7 +24,7 @@ use crate::traverse::{run_fixpoint, FixpointKernel, FixpointStrategy};
 use pnsym_bdd::{
     Budget, Interrupt, TruncationReason, ZddManager, ZddRef, ZddUpdate, ZddUpdateAction,
 };
-use pnsym_net::{PetriNet, TransitionId};
+use pnsym_net::{PetriNet, PlaceId, PlaceSet, TransitionId};
 use std::time::{Duration, Instant};
 
 /// The outcome of a ZDD-based reachability traversal.
@@ -75,10 +75,10 @@ pub struct ZddContext {
     initial: ZddRef,
     /// Per-transition pre/post index lists, built once.
     ops: Vec<ZddTransitionOp>,
-    /// Per-transition place bitsets (one `u64` word per 64 places),
-    /// backing the O(words) feeds test of the saturation scheduler.
-    pre_bits: Vec<Vec<u64>>,
-    post_bits: Vec<Vec<u64>>,
+    /// Per-transition pre-sets and post-sets, backing the O(words) feeds
+    /// test of the saturation scheduler.
+    pre_bits: Vec<PlaceSet>,
+    post_bits: Vec<PlaceSet>,
     /// Transition indices sorted by structural rank (the firing order
     /// within a saturation level).
     structural_order: Vec<usize>,
@@ -140,17 +140,13 @@ impl ZddContext {
         let ranks = structural_transition_ranks(net);
         let mut structural_order: Vec<usize> = (0..net.num_transitions()).collect();
         structural_order.sort_by_key(|&t| (ranks[t], t));
-        let words = net.num_places().div_ceil(64);
-        let mut pre_bits = vec![vec![0u64; words]; net.num_transitions()];
-        let mut post_bits = vec![vec![0u64; words]; net.num_transitions()];
-        for t in net.transitions() {
-            for p in net.pre_set(t) {
-                pre_bits[t.index()][p.index() / 64] |= 1 << (p.index() % 64);
-            }
-            for p in net.post_set(t) {
-                post_bits[t.index()][p.index() / 64] |= 1 << (p.index() % 64);
-            }
-        }
+        let place_sets = |arcs: fn(&PetriNet, TransitionId) -> &[PlaceId]| -> Vec<PlaceSet> {
+            net.transitions()
+                .map(|t| PlaceSet::from_places(net.num_places(), arcs(net, t).iter().copied()))
+                .collect()
+        };
+        let pre_bits = place_sets(PetriNet::pre_set);
+        let post_bits = place_sets(PetriNet::post_set);
         ZddContext {
             net: net.clone(),
             manager,
@@ -315,10 +311,7 @@ impl FixpointKernel for ZddFixpointKernel<'_> {
     }
 
     fn cluster_feeds(&self, from: usize, to: usize) -> bool {
-        self.ctx.post_bits[from]
-            .iter()
-            .zip(&self.ctx.pre_bits[to])
-            .any(|(&p, &q)| p & q != 0)
+        self.ctx.post_bits[from].intersects(&self.ctx.pre_bits[to])
     }
 
     fn cluster_image(&mut self, cluster: usize, from: ZddRef) -> Result<ZddRef, Interrupt> {

@@ -8,6 +8,8 @@
 //!
 //! * the [`PetriNet`] model with the safe token-game semantics,
 //!   [`Marking`]s as bitsets, and a [`NetBuilder`];
+//! * [`PlaceSet`], the word bitset over places that the structural
+//!   pipeline (invariant supports, SMCs, cover selection) works on;
 //! * the [`IncidenceMatrix`] and state equation of Section 2.1;
 //! * explicit (enumerative) reachability analysis ([`ReachabilityGraph`]),
 //!   which serves as the reference the symbolic engines are validated
@@ -38,6 +40,7 @@ mod incidence;
 mod marking;
 mod net;
 pub mod nets;
+mod placeset;
 mod properties;
 mod reach;
 
@@ -47,5 +50,6 @@ pub use ids::{PlaceId, TransitionId};
 pub use incidence::IncidenceMatrix;
 pub use marking::Marking;
 pub use net::{FireError, PetriNet};
+pub use placeset::PlaceSet;
 pub use properties::BehaviourReport;
 pub use reach::{ExploreError, ExploreOptions, ReachabilityGraph};

@@ -8,7 +8,7 @@
 //! the raw material for State-Machine-Component extraction (Section 2.2 of
 //! the paper).
 
-use pnsym_net::{IncidenceMatrix, Marking, PetriNet, PlaceId};
+use pnsym_net::{IncidenceMatrix, Marking, PetriNet, PlaceId, PlaceSet};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -147,8 +147,8 @@ fn gcd(a: i64, b: i64) -> i64 {
 struct Row {
     incidence: Vec<i64>,
     weights: Vec<i64>,
-    /// The places of positive weight, one bit per place in `u64` words.
-    support: Vec<u64>,
+    /// The places of positive weight.
+    support: PlaceSet,
     /// The number of places in `support`.
     support_len: u32,
 }
@@ -166,11 +166,13 @@ impl Row {
                 *x /= g;
             }
         }
-        let mut support = vec![0u64; weights.len().div_ceil(64)];
-        for (i, _) in weights.iter().enumerate().filter(|&(_, &w)| w > 0) {
-            support[i / 64] |= 1 << (i % 64);
-        }
-        let support_len = support.iter().map(|w| w.count_ones()).sum();
+        let support = PlaceSet::from_places(
+            weights.len(),
+            (0..weights.len())
+                .filter(|&i| weights[i] > 0)
+                .map(|i| PlaceId(i as u32)),
+        );
+        let support_len = support.len() as u32;
         Row {
             incidence,
             weights,
@@ -181,10 +183,7 @@ impl Row {
 
     /// Whether this row's support is a subset of `other`'s.
     fn support_within(&self, other: &Row) -> bool {
-        self.support
-            .iter()
-            .zip(&other.support)
-            .all(|(&a, &b)| a & !b == 0)
+        self.support.is_subset(&other.support)
     }
 
     /// The tableau order: by support size, then by the sorted place
@@ -193,7 +192,7 @@ impl Row {
     /// weights.
     fn tableau_order(&self, other: &Row) -> Ordering {
         let by_support = || {
-            for (&a, &b) in self.support.iter().zip(&other.support) {
+            for (&a, &b) in self.support.words().iter().zip(other.support.words()) {
                 let diff = a ^ b;
                 if diff != 0 {
                     let lowest = diff & diff.wrapping_neg();
