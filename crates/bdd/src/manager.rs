@@ -142,7 +142,6 @@ pub(crate) enum Op {
     AndExists,
     AndExistsAssign,
     AndCofactor,
-    Constrain,
 }
 
 /// Computed-cache hit/miss counters of one operation family

@@ -1,18 +1,16 @@
 //! Boolean operations on BDDs: the Shannon-expansion `apply` family,
 //! if-then-else, quantification, the relational product, the one-pass
 //! image and pre-image steps of a constant-assigning transition and
-//! variable renaming — all over complement edges.
+//! single-variable restriction — all over complement edges.
 //!
 //! Under complement edges negation is a bit flip (no recursion, no cache,
 //! no allocation), so the derived operations collapse: `or` is De Morgan
 //! over `and` (`f ∨ g = ¬(¬f ∧ ¬g)`) and *shares its cache entries with
-//! `and`*, `diff` is `f ∧ ¬g` at the cost of one flip, and `forall` wraps
-//! `exists`. Every cache key is complement-normalised (standard-triple
-//! canonicalisation): `xor` strips the operand complement bits into an
-//! output parity, `ite` rotates its triple so the predicate and the then
-//! branch are regular, and `constrain` factors the complement of its first
-//! operand out of the key. As a result `f ∧ g`, `¬(¬f ∨ ¬g)`,
-//! `¬f ∨ ¬g` … all hit one cache line.
+//! `and`*, and `diff` is `f ∧ ¬g` at the cost of one flip. Every cache key
+//! is complement-normalised (standard-triple canonicalisation): `xor`
+//! strips the operand complement bits into an output parity and `ite`
+//! rotates its triple so the predicate and the then branch are regular. As
+//! a result `f ∧ g`, `¬(¬f ∨ ¬g)`, `¬f ∨ ¬g` … all hit one cache line.
 //!
 //! Every memoised recursion exists in two forms: a fallible `try_*` entry
 //! point returning `Result<Ref, Interrupt>` that checks the manager's
@@ -392,16 +390,6 @@ impl BddManager {
         Ok(r)
     }
 
-    /// Universal quantification `∀ vars. f = ¬∃ vars. ¬f` (both negations
-    /// are free bit flips).
-    pub fn forall(&mut self, f: Ref, vars: &[VarId]) -> Ref {
-        if vars.is_empty() {
-            return f;
-        }
-        let e = self.exists(Ref(f.0 ^ 1), vars);
-        Ref(e.0 ^ 1)
-    }
-
     /// The relational product `∃ vars. (f ∧ g)` computed in one pass, the
     /// workhorse of symbolic image computation.
     pub fn and_exists(&mut self, f: Ref, g: Ref, vars: &[VarId]) -> Ref {
@@ -659,121 +647,6 @@ impl BddManager {
         r
     }
 
-    /// Simultaneously fixes several variables to constants.
-    pub fn restrict_many(&mut self, f: Ref, assignment: &[(VarId, bool)]) -> Ref {
-        let mut acc = f;
-        for &(v, value) in assignment {
-            acc = self.restrict(acc, v, value);
-        }
-        acc
-    }
-
-    /// Renames variables of `f` according to `map` (pairs `(from, to)`).
-    ///
-    /// The mapping must be *order-compatible*: the relative order (by level)
-    /// of the `to` variables must match the relative order of the `from`
-    /// variables, and no `to` variable may cross an unmapped variable in the
-    /// support of `f`. This holds in particular for the interleaved
-    /// current/next-state orders used by symbolic reachability.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the produced diagram would violate the
-    /// variable order.
-    pub fn rename(&mut self, f: Ref, map: &[(VarId, VarId)]) -> Ref {
-        if map.is_empty() {
-            return f;
-        }
-        let mut level_map: HashMap<u32, u32> = HashMap::new();
-        for &(from, to) in map {
-            level_map.insert(self.level_of(from), self.level_of(to));
-        }
-        let mut memo = HashMap::new();
-        Ref(self.rename_rec(f.0, &level_map, &mut memo))
-    }
-
-    fn rename_rec(
-        &mut self,
-        f: u32,
-        level_map: &HashMap<u32, u32>,
-        memo: &mut HashMap<u32, u32>,
-    ) -> u32 {
-        if f <= 1 {
-            return f;
-        }
-        if let Some(&r) = memo.get(&f) {
-            return r;
-        }
-        let cf = f & 1;
-        let n = self.node(f);
-        let low = self.rename_rec(n.low ^ cf, level_map, memo);
-        let high = self.rename_rec(n.high ^ cf, level_map, memo);
-        let new_level = *level_map.get(&n.level).unwrap_or(&n.level);
-        let r = self.mk(new_level, low, high);
-        memo.insert(f, r);
-        r
-    }
-
-    /// Composes `f` with `g` substituted for variable `v`: `f[v := g]`.
-    pub fn compose(&mut self, f: Ref, v: VarId, g: Ref) -> Ref {
-        let f1 = self.restrict(f, v, true);
-        let f0 = self.restrict(f, v, false);
-        self.ite(g, f1, f0)
-    }
-
-    /// Generalized cofactor (`constrain`): simplifies `f` assuming `c` holds.
-    ///
-    /// The result agrees with `f` on every assignment satisfying `c` and is
-    /// typically (not always) smaller than `f`.
-    pub fn constrain(&mut self, f: Ref, c: Ref) -> Ref {
-        self.try_constrain(f, c).expect(UNGOVERNED)
-    }
-
-    /// Fallible [`BddManager::constrain`].
-    pub fn try_constrain(&mut self, f: Ref, c: Ref) -> Result<Ref, Interrupt> {
-        Ok(Ref(self.constrain_rec(f.0, c.0)?))
-    }
-
-    fn constrain_rec(&mut self, f: u32, c: u32) -> Result<u32, Interrupt> {
-        if c == ONE || f <= 1 {
-            return Ok(f);
-        }
-        if c == ZERO {
-            return Ok(ZERO);
-        }
-        // constrain(¬f, c) = ¬constrain(f, c): normalise the first operand
-        // regular and carry its complement to the output, halving the key
-        // space.
-        let cf = f & 1;
-        let f = f ^ cf;
-        if f == c & !1 {
-            // f equals c up to complement: constrain(c, c) = TRUE and
-            // constrain(¬c, c) = FALSE (then re-apply the output bit).
-            return Ok(ONE ^ (c & 1) ^ cf);
-        }
-        let key = (Op::Constrain, f, c, 0);
-        if let Some(r) = self.cache_get(key) {
-            return Ok(r ^ cf);
-        }
-        self.checkpoint()?;
-        let lf = self.level(f);
-        let lc = self.level(c);
-        let level = lf.min(lc);
-        let (cl, ch) = self.cofactors_at(c, level);
-        let (fl_, fh_) = self.cofactors_at(f, level);
-        let r = if cl == ZERO {
-            self.constrain_rec(fh_, ch)?
-        } else if ch == ZERO {
-            self.constrain_rec(fl_, cl)?
-        } else {
-            let low = self.constrain_rec(fl_, cl)?;
-            let high = self.constrain_rec(fh_, ch)?;
-            self.mk(level, low, high)
-        };
-        self.cache_put(key, r);
-        Ok(r ^ cf)
-    }
-
     /// Disjunction on raw edges through De Morgan (shared `and` cache).
     #[inline]
     pub(crate) fn or_idx(&mut self, f: u32, g: u32) -> Result<u32, Interrupt> {
@@ -935,13 +808,6 @@ mod tests {
         // ∃ b. a ∧ b  =  a
         let e = m.exists(f, &[v[1]]);
         assert_eq!(e, a);
-        // ∀ b. a ∧ b  =  false
-        let u = m.forall(f, &[v[1]]);
-        assert_eq!(u, m.zero());
-        // ∀ b. a ∨ b  =  a
-        let g = m.or(a, b);
-        let u2 = m.forall(g, &[v[1]]);
-        assert_eq!(u2, a);
         // quantifying a variable not in the support is the identity
         let e2 = m.exists(f, &[v[3]]);
         assert_eq!(e2, f);
@@ -982,56 +848,10 @@ mod tests {
         assert_eq!(f1, b);
         let f0 = m.restrict(f, v[0], false);
         assert_eq!(f0, c);
-        // compose f[b := c] = ite(a, c, c) = c
-        let comp = m.compose(f, v[1], c);
-        assert_eq!(comp, c);
-        let fixed = m.restrict_many(f, &[(v[0], true), (v[1], false)]);
-        assert_eq!(fixed, m.zero());
         // Restriction of a complemented edge.
         let nf = m.not(f);
         let n1 = m.restrict(nf, v[0], true);
         assert_eq!(n1, m.not(b));
-    }
-
-    #[test]
-    fn rename_shifts_variables() {
-        let (mut m, v) = setup();
-        let a = m.var(v[0]);
-        let b = m.var(v[1]);
-        let f = m.and(a, b);
-        // rename {v0 -> v2, v1 -> v3} keeps relative order.
-        let g = m.rename(f, &[(v[0], v[2]), (v[1], v[3])]);
-        assert_equals(&m, g, |x| x[2] && x[3]);
-        assert_eq!(m.rename(f, &[]), f);
-        // Renaming commutes with complement.
-        let nf = m.not(f);
-        let ng = m.rename(nf, &[(v[0], v[2]), (v[1], v[3])]);
-        assert_eq!(ng, m.not(g));
-    }
-
-    #[test]
-    fn constrain_agrees_on_care_set() {
-        let (mut m, v) = setup();
-        let a = m.var(v[0]);
-        let b = m.var(v[1]);
-        let c = m.var(v[2]);
-        let f = m.xor(a, b);
-        let care = m.and(a, c);
-        let g = m.constrain(f, care);
-        // On assignments satisfying `care`, f and g agree.
-        for bits in 0u32..16 {
-            let assignment: Vec<bool> = (0..4).map(|i| bits & (1 << i) != 0).collect();
-            if m.eval(care, |v| assignment[v.index()]) {
-                assert_eq!(
-                    m.eval(f, |v| assignment[v.index()]),
-                    m.eval(g, |v| assignment[v.index()])
-                );
-            }
-        }
-        // constrain(¬f, c) = ¬constrain(f, c).
-        let nf = m.not(f);
-        let ng = m.constrain(nf, care);
-        assert_eq!(ng, m.not(g));
     }
 
     #[test]

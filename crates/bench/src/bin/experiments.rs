@@ -642,11 +642,9 @@ fn table1() {
     println!("characteristic functions of the places (Table 2):");
     for p in net.places() {
         let chi = ctx.place_fn(p);
-        let vars = ctx.current_vars().to_vec();
-        let formula = ctx.manager_mut().format_sop(chi, |v| {
-            let state_var = vars.iter().position(|&cv| cv == v).expect("current var");
-            format!("x{}", state_var + 1)
-        });
+        let formula = ctx
+            .manager_mut()
+            .format_sop(chi, |v| format!("x{}", v.index() + 1));
         println!("  [{}] = {}", net.place_name(p), formula);
     }
 }

@@ -1,6 +1,11 @@
 //! The [`SymbolicContext`]: a Petri net, an [`Encoding`] and a BDD manager
 //! wired together — characteristic functions of places (Section 5.1),
 //! enabling functions (Section 5.3) and the encoded initial marking.
+//!
+//! There is one vocabulary: state variable `i` of the encoding is BDD
+//! variable `i` ([`SymbolicContext::state_var`]). Every transition drives
+//! the variables it writes to constants (eq. 6), so images and pre-images
+//! run over these variables alone and no next-state copy is allocated.
 
 use crate::encoding::{Block, Encoding};
 use crate::image::TransitionEffect;
@@ -37,8 +42,6 @@ pub struct SymbolicContext {
     net: PetriNet,
     encoding: Encoding,
     manager: BddManager,
-    current_vars: Vec<VarId>,
-    next_vars: Vec<VarId>,
     chi: Vec<Ref>,
     enabling: Vec<Ref>,
     initial: Ref,
@@ -63,7 +66,7 @@ impl std::fmt::Debug for SymbolicContext {
 }
 
 impl SymbolicContext {
-    /// Builds the context: allocates interleaved current/next BDD variables,
+    /// Builds the context: allocates one BDD variable per state variable,
     /// the characteristic function of every place, the enabling function of
     /// every transition, and the encoded initial marking.
     ///
@@ -72,21 +75,13 @@ impl SymbolicContext {
     /// Panics if `encoding` was built for a different net (mismatched place
     /// or transition counts).
     pub fn new(net: &PetriNet, encoding: Encoding) -> Self {
-        let n = encoding.num_vars();
-        let mut manager = BddManager::new();
-        // Interleave current (even levels) and next (odd levels) variables.
-        let mut current_vars = Vec::with_capacity(n);
-        let mut next_vars = Vec::with_capacity(n);
-        for _ in 0..n {
-            current_vars.push(manager.add_var());
-            next_vars.push(manager.add_var());
-        }
+        let mut manager = BddManager::with_vars(encoding.num_vars());
 
         // Characteristic functions, built owner-first so that the recursive
         // exclusions of eq. (4) only reference already-built functions.
         let mut chi: Vec<Option<Ref>> = vec![None; net.num_places()];
         for p in net.places() {
-            build_chi(&mut manager, &encoding, &current_vars, p, &mut chi);
+            build_chi(&mut manager, &encoding, p, &mut chi);
         }
         let chi: Vec<Ref> = chi.into_iter().map(|c| c.expect("chi built")).collect();
         for &c in &chi {
@@ -103,13 +98,7 @@ impl SymbolicContext {
         }
 
         // Encoded initial marking.
-        let bits = encoding.encode_marking(net.initial_marking());
-        let lits: Vec<(VarId, bool)> = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (current_vars[i], b))
-            .collect();
-        let initial = manager.cube(&lits);
+        let initial = marking_cube(&mut manager, &encoding, net.initial_marking());
         manager.protect(initial);
 
         // Memoize the constant effect of every transition (eq. 6): it is
@@ -124,8 +113,6 @@ impl SymbolicContext {
             net: net.clone(),
             encoding,
             manager,
-            current_vars,
-            next_vars,
             chi,
             enabling,
             initial,
@@ -232,16 +219,10 @@ impl SymbolicContext {
         self.manager.stats()
     }
 
-    /// The BDD variables encoding the *current* state, indexed by state
-    /// variable.
-    pub fn current_vars(&self) -> &[VarId] {
-        &self.current_vars
-    }
-
-    /// The BDD variables encoding the *next* state (used by the explicit
-    /// transition relations).
-    pub fn next_vars(&self) -> &[VarId] {
-        &self.next_vars
+    /// The BDD variable of state variable `i`: by construction, `VarId(i)`.
+    /// The inverse is [`VarId::index`].
+    pub fn state_var(i: usize) -> VarId {
+        VarId(i as u32)
     }
 
     /// The characteristic function `[p]` of place `p`: the set of encoded
@@ -260,31 +241,20 @@ impl SymbolicContext {
         self.initial
     }
 
-    /// Encodes a single marking as a one-element set over the current
-    /// variables.
+    /// Encodes a single marking as a one-element set.
     pub fn marking_to_bdd(&mut self, m: &Marking) -> Ref {
-        let bits = self.encoding.encode_marking(m);
-        let lits: Vec<(VarId, bool)> = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (self.current_vars[i], b))
-            .collect();
-        self.manager.cube(&lits)
+        marking_cube(&mut self.manager, &self.encoding, m)
     }
 
     /// Whether the encoded marking `m` belongs to the set `set`.
     pub fn set_contains(&self, set: Ref, m: &Marking) -> bool {
         let bits = self.encoding.encode_marking(m);
-        let mut value = vec![false; self.manager.num_vars()];
-        for (&v, &bit) in self.current_vars.iter().zip(&bits) {
-            value[v.index()] = bit;
-        }
-        self.manager.eval(set, |v| value[v.index()])
+        self.manager.eval(set, |v| bits[v.index()])
     }
 
     /// Number of markings in a set of encoded markings. Because the
     /// encoding is injective this equals the BDD satisfying-assignment
-    /// count over the current state variables, which is approximate past
+    /// count over the state variables, which is approximate past
     /// 53 variables (see [`BddManager::sat_count`]).
     pub fn count_markings(&self, set: Ref) -> f64 {
         self.manager.sat_count(set, self.encoding.num_vars())
@@ -309,11 +279,21 @@ impl SymbolicContext {
     }
 }
 
+/// The encoding of marking `m` as a one-element set.
+fn marking_cube(manager: &mut BddManager, encoding: &Encoding, m: &Marking) -> Ref {
+    let bits = encoding.encode_marking(m);
+    let lits: Vec<(VarId, bool)> = bits
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| (SymbolicContext::state_var(i), b))
+        .collect();
+    manager.cube(&lits)
+}
+
 /// Builds `[p]` recursively, memoising into `out`.
 fn build_chi(
     manager: &mut BddManager,
     encoding: &Encoding,
-    current_vars: &[VarId],
     p: PlaceId,
     out: &mut Vec<Option<Ref>>,
 ) -> Ref {
@@ -322,7 +302,7 @@ fn build_chi(
     }
     let owner = encoding.owner_of_place(p);
     let result = match &encoding.blocks()[owner] {
-        Block::Place { var, .. } => manager.var(current_vars[*var]),
+        Block::Place { var, .. } => manager.var(SymbolicContext::state_var(*var)),
         Block::Smc {
             places,
             codes,
@@ -335,7 +315,7 @@ fn build_chi(
             let lits: Vec<(VarId, bool)> = vars
                 .iter()
                 .enumerate()
-                .map(|(b, &v)| (current_vars[v], code & (1 << b) != 0))
+                .map(|(b, &v)| (SymbolicContext::state_var(v), code & (1 << b) != 0))
                 .collect();
             let mut acc = manager.cube(&lits);
             // Second factor: no place sharing the code is marked according
@@ -349,7 +329,7 @@ fn build_chi(
                 .map(|(_, &q)| q)
                 .collect();
             for q in sharing {
-                let chi_q = build_chi(manager, encoding, current_vars, q, out);
+                let chi_q = build_chi(manager, encoding, q, out);
                 let not_q = manager.not(chi_q);
                 acc = manager.and(acc, not_q);
             }
@@ -472,12 +452,10 @@ mod tests {
     fn variable_count_matches_encoding() {
         let net = philosophers(2);
         for ctx in &contexts(&net) {
-            assert_eq!(ctx.current_vars().len(), ctx.encoding().num_vars());
-            assert_eq!(ctx.next_vars().len(), ctx.encoding().num_vars());
             assert_eq!(
                 ctx.manager().num_vars(),
-                2 * ctx.encoding().num_vars(),
-                "current and next variables are interleaved"
+                ctx.encoding().num_vars(),
+                "state variable i is BDD variable i"
             );
         }
     }

@@ -1,4 +1,4 @@
-//! Image computation and transition relations (Sections 5.2–5.3).
+//! Image computation (Sections 5.2–5.3).
 //!
 //! Under every encoding of this crate, firing a transition `t` drives each
 //! affected variable to a *constant*: a place variable becomes 1 or 0, and
@@ -13,13 +13,14 @@
 //! quantified product is never built on its own. Its support `W_t` is read
 //! off the target cube, so the per-transition artefacts are just the
 //! enabling function and the target cube, precomputed once per context by
-//! the [`ImagePlan`](crate::plan::ImagePlan) and reused by every call. The
-//! explicit two-vocabulary transition relations `R_t(P, Q)` (eq. 3) are
-//! also provided, mainly for cross-validation.
+//! the [`ImagePlan`](crate::plan::ImagePlan) and reused by every call.
+//! Because every effect is constant, the two-vocabulary relation
+//! `R_t(P, Q)` of eq. (3) is never built: the image needs no next-state
+//! variables and no renaming.
 
 use crate::context::SymbolicContext;
 use crate::encoding::{Block, Encoding};
-use pnsym_bdd::{Interrupt, Ref, VarId};
+use pnsym_bdd::{Interrupt, Ref};
 use pnsym_net::{PetriNet, TransitionId};
 
 /// The effect of one transition on the state variables: which variables
@@ -98,7 +99,7 @@ pub(crate) fn compute_transition_effect(
 
 impl SymbolicContext {
     /// The set of markings reached by firing `t` once from some marking in
-    /// `from` (the image of `from` under `t`), over the current variables.
+    /// `from` (the image of `from` under `t`).
     ///
     /// One pass of the kernel's `and_exists_assign` over the precomputed
     /// [`ImagePlan`](crate::plan::ImagePlan) artefacts of `t`: its enabling
@@ -141,74 +142,6 @@ impl SymbolicContext {
             acc = self.manager_mut().or(acc, img);
         }
         acc
-    }
-
-    /// The partial transition relation `R_t(P, Q)` of eq. (3): the enabling
-    /// condition over current variables conjoined with `q_i ≡ δ_i` for every
-    /// variable the transition writes. Variables not written are not
-    /// constrained (they are handled as "unchanged" by
-    /// [`SymbolicContext::image_via_relation`]).
-    pub fn transition_relation(&mut self, t: TransitionId) -> Ref {
-        let enabled = self.enabling_fn(t);
-        let lits: Vec<(VarId, bool)> = self
-            .transition_effect(t)
-            .assignments
-            .iter()
-            .map(|&(i, value)| (self.next_vars()[i], value))
-            .collect();
-        let m = self.manager_mut();
-        let target = m.cube(&lits);
-        m.and(enabled, target)
-    }
-
-    /// The *monolithic* transition relation of `t`, which also asserts
-    /// `q_i ≡ p_i` for every unchanged variable. Exponentially more
-    /// expensive than the partial relation; intended for validation on small
-    /// nets.
-    pub fn monolithic_transition_relation(&mut self, t: TransitionId) -> Ref {
-        let mut rel = self.transition_relation(t);
-        let written: Vec<usize> = self
-            .transition_effect(t)
-            .assignments
-            .iter()
-            .map(|&(i, _)| i)
-            .collect();
-        for i in 0..self.encoding().num_vars() {
-            if written.contains(&i) {
-                continue;
-            }
-            let p = self.current_vars()[i];
-            let q = self.next_vars()[i];
-            let m = self.manager_mut();
-            let pv = m.var(p);
-            let qv = m.var(q);
-            let eq = m.iff(pv, qv);
-            rel = m.and(rel, eq);
-        }
-        rel
-    }
-
-    /// The disjunction of the monolithic relations of every transition: the
-    /// full `R(P, Q)` of eq. (3). Only suitable for small nets.
-    pub fn monolithic_relation(&mut self) -> Ref {
-        let mut acc = self.manager().zero();
-        for ti in 0..self.net().num_transitions() {
-            let r = self.monolithic_transition_relation(TransitionId(ti as u32));
-            acc = self.manager_mut().or(acc, r);
-        }
-        acc
-    }
-
-    /// Image computation through an explicit relation over `(P, Q)`:
-    /// `∃P (from ∧ rel)` renamed back to the current variables. Used to
-    /// cross-validate [`SymbolicContext::image`].
-    pub fn image_via_relation(&mut self, from: Ref, rel: Ref) -> Ref {
-        let current = self.current_vars().to_vec();
-        let next = self.next_vars().to_vec();
-        let m = self.manager_mut();
-        let product = m.and_exists(from, rel, &current);
-        let map: Vec<(VarId, VarId)> = next.iter().zip(&current).map(|(&q, &p)| (q, p)).collect();
-        m.rename(product, &map)
     }
 }
 
@@ -290,18 +223,6 @@ mod tests {
                 acc = ctx.manager_mut().or(acc, img);
             }
             assert_eq!(acc, full, "scheme {:?}", ctx.encoding().scheme());
-        }
-    }
-
-    #[test]
-    fn relation_based_image_equals_direct_image() {
-        let net = figure1();
-        for mut ctx in contexts(&net) {
-            let init = ctx.initial_set();
-            let direct = ctx.image_all(init);
-            let rel = ctx.monolithic_relation();
-            let via_rel = ctx.image_via_relation(init, rel);
-            assert_eq!(direct, via_rel, "scheme {:?}", ctx.encoding().scheme());
         }
     }
 

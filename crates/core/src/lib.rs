@@ -14,8 +14,8 @@
 //!   Gray-code assignment ([`AssignmentStrategy`]).
 //! * [`SymbolicContext`] — an encoding wired to a BDD manager:
 //!   characteristic functions of places (eq. 4), enabling functions
-//!   (eq. 5), per-transition constant effects (eq. 6), image computation and
-//!   explicit transition relations.
+//!   (eq. 5), per-transition constant effects (eq. 6) and image
+//!   computation, over one BDD variable per state variable.
 //! * [`ImagePlan`] — the per-context precomputed artefacts of the image
 //!   and the pre-image (enabling functions, quantification and target
 //!   cubes), clustered by written variable set and protected across

@@ -31,10 +31,10 @@ use std::collections::HashMap;
 pub struct PlannedTransition {
     /// The transition.
     pub transition: TransitionId,
-    /// Its enabling function `E_t` (eq. 5), over the current variables.
+    /// Its enabling function `E_t` (eq. 5).
     pub enabling: Ref,
-    /// The cube of target constants `T_t` (eq. 6), over the current
-    /// variables the transition writes.
+    /// The cube of target constants `T_t` (eq. 6), over the variables the
+    /// transition writes.
     pub target: Ref,
 }
 
@@ -108,7 +108,7 @@ impl ImagePlan {
                     .transition_effect(t)
                     .assignments
                     .iter()
-                    .map(|&(i, value)| (ctx.current_vars()[i], value))
+                    .map(|&(i, value)| (SymbolicContext::state_var(i), value))
                     .collect();
                 let target = {
                     let m = ctx.manager_mut();
@@ -341,7 +341,7 @@ mod tests {
                     .transition_effect(member.transition)
                     .assignments
                     .iter()
-                    .map(|&(i, value)| (ctx.current_vars()[i], value))
+                    .map(|&(i, value)| (SymbolicContext::state_var(i), value))
                     .collect();
                 assert_eq!(ctx.manager_mut().cube(&lits), member.target);
             }
@@ -366,7 +366,7 @@ mod tests {
             let mut vars: Vec<VarId> = cluster
                 .var_indices
                 .iter()
-                .map(|&i| ctx.current_vars()[i])
+                .map(|&i| SymbolicContext::state_var(i))
                 .collect();
             vars.sort_unstable();
             for member in &cluster.members {

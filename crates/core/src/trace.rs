@@ -28,7 +28,7 @@
 //!   `AF`/`AU` counterexamples).
 
 use crate::context::SymbolicContext;
-use pnsym_bdd::Ref;
+use pnsym_bdd::{Ref, VarId};
 use pnsym_net::{Marking, PlaceId, TransitionId};
 use std::collections::HashMap;
 
@@ -288,12 +288,9 @@ impl SymbolicContext {
         // Pick a satisfying assignment and complete the unconstrained
         // variables with the recursive place evaluation of the encoding.
         let partial = self.manager().pick_one(set)?;
-        let current = self.current_vars().to_vec();
-        let mut bits = vec![false; current.len()];
+        let mut bits = vec![false; self.encoding().num_vars()];
         for (var, value) in partial {
-            if let Some(i) = current.iter().position(|&v| v == var) {
-                bits[i] = value;
-            }
+            bits[var.index()] = value;
         }
         // A partial assignment may leave some variables free; the chosen
         // completion (false) is only valid if it decodes to a marking whose
@@ -311,9 +308,10 @@ impl SymbolicContext {
                 return Some(m);
             }
         }
+        let state_vars: Vec<VarId> = (0..bits.len()).map(SymbolicContext::state_var).collect();
         let assignments: Vec<Vec<bool>> = self
             .manager()
-            .sat_assignments(set, &current)
+            .sat_assignments(set, &state_vars)
             .take(64)
             .collect();
         for bits in assignments {

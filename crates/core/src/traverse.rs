@@ -245,7 +245,7 @@ impl TraversalOptions {
 /// The outcome of a symbolic reachability traversal.
 #[derive(Debug, Clone, Copy)]
 pub struct ReachabilityResult {
-    /// The reached set (over the current state variables).
+    /// The reached set (over the state variables).
     pub reached: Ref,
     /// Number of reachable markings: approximate once the encoding passes
     /// 53 variables (see [`pnsym_bdd::BddManager::sat_count`]).
@@ -592,13 +592,13 @@ impl FixpointKernel for BddFixpointKernel<'_, '_> {
     }
 
     fn cluster_top_level(&self, cluster: usize) -> u32 {
-        // The topmost *current* variable the cluster writes, at its level
-        // in the present order.
+        // The topmost variable the cluster writes, at its level in the
+        // present order.
         let manager = self.ctx.manager();
         self.plan.clusters()[cluster]
             .var_indices
             .iter()
-            .map(|&i| manager.level_of(self.ctx.current_vars()[i]))
+            .map(|&i| manager.level_of(SymbolicContext::state_var(i)))
             .min()
             .unwrap_or(u32::MAX)
     }

@@ -308,14 +308,17 @@ pub fn minimal_invariants_with(
         }
         // Prune duplicates and rows whose support strictly contains the
         // support of another row (they can never lead to minimal-support
-        // invariants that the smaller row does not already lead to).
+        // invariants that the smaller row does not already lead to). The
+        // rows arrive by support size, so only the prefix of `kept` with
+        // strictly smaller supports can contain a strict subset.
         new_rows.sort_by(Row::tableau_order);
         new_rows.dedup_by(|a, b| a.weights == b.weights && a.incidence == b.incidence);
         let mut kept: Vec<Row> = Vec::with_capacity(new_rows.len());
         for row in new_rows {
             let redundant = kept
                 .iter()
-                .any(|k| k.support_len < row.support_len && k.support_within(&row));
+                .take_while(|k| k.support_len < row.support_len)
+                .any(|k| k.support_within(&row));
             if !redundant {
                 kept.push(row);
             }

@@ -427,6 +427,65 @@ fn version_one_warm_snapshot_is_rejected_and_rebuilt_cold() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A warm snapshot over twice the context's variables, as the older
+/// two-vocabulary contexts (interleaved current and next-state variables)
+/// wrote it, is a typed `Mismatch` rejection: the file is deleted, no
+/// reached set is installed, and a daemon booted over it rebuilds the
+/// family cold. The byte layout is unchanged, so the version is not what
+/// rejects it.
+#[test]
+fn two_vocabulary_warm_snapshot_is_rejected_and_rebuilt_cold() {
+    let net = nets::figure1();
+    let key = canonical_net_hash(&net);
+    let strategy = strategy("bfs");
+    let mut forged = build_context(&net);
+    let n = forged.encoding().num_vars();
+    for _ in 0..n {
+        forged.manager_mut().add_var();
+    }
+    let mut entry = WarmContext::new(key, "figure1", forged);
+    let run = entry
+        .context_mut()
+        .reachable_markings_with(TraversalOptions::with_strategy(strategy));
+    entry.store_reached(strategy, run);
+    let dir = scratch_dir("two-vocabulary");
+    let mut store = SnapshotStore::open(&dir).expect("open store");
+    assert!(store.save_warm(&entry).expect("save warm"));
+    let path = dir.join(format!("warm-{key:016x}.pnsnap"));
+    let bytes = fs::read(&path).expect("read snapshot");
+
+    let mut fresh = build_context(&net);
+    assert_eq!(fresh.manager().num_vars(), n);
+    let rejection = store
+        .restore_warm(key, &mut fresh)
+        .expect("file exists")
+        .expect_err("a snapshot over 2n variables must be rejected");
+    let expected = format!("snapshot has {} variables, the live context {n}", 2 * n);
+    assert!(
+        matches!(&rejection, SnapshotRejection::Mismatch(what) if *what == expected),
+        "{rejection}"
+    );
+    assert!(!path.exists(), "rejected snapshot is deleted");
+    assert!(fresh.memoized_reached().is_none());
+
+    fs::write(&path, &bytes).expect("write two-vocabulary snapshot again");
+    let handle = boot(ServerConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let responses = client
+        .request(&suite_request(1, "figure1", &net))
+        .expect("cold rebuild");
+    let Some(Response::Done { pool, .. }) = responses.last() else {
+        panic!("stream ends in done: {responses:?}");
+    };
+    assert_eq!(*pool, PoolOutcome::Miss, "the old file is not served");
+    assert!(!verdicts(&responses).is_empty());
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Each retired strategy spelling is a terminal `request` error naming the
 /// surviving strategies, and the connection stays open for the next query.
 #[test]
