@@ -257,18 +257,6 @@ impl BddManager {
         self.move_var_to_level(var, best_level);
     }
 
-    /// Number of live internal nodes at each level (diagnostic for ordering
-    /// experiments).
-    pub fn level_profile(&self) -> Vec<usize> {
-        self.unique.iter().map(|t| t.len()).collect()
-    }
-
-    /// Total number of live internal nodes (terminals excluded), counting
-    /// only nodes registered in the unique tables.
-    pub fn unique_table_size(&self) -> usize {
-        self.unique.iter().map(|t| t.len()).sum()
-    }
-
     #[allow(dead_code)]
     pub(crate) fn debug_assert_levels(&self) {
         for (idx, n) in self.nodes.iter().enumerate().skip(1) {

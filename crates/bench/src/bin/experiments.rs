@@ -652,7 +652,7 @@ fn table1() {
 /// Fast kernel sanity run for CI: full sparse + dense analysis of the two
 /// smallest table-3 nets, cross-checked against explicit exploration, so a
 /// kernel regression (wrong counts or a pathological slowdown) surfaces
-/// without a full criterion sweep.
+/// without a full `table3` run.
 fn smoke(strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Json>) {
     println!("\n== Smoke: kernel sanity on the two smallest nets ({strategy}) =====");
     let mut workloads = table3_workloads(Scale::Default);

@@ -8,7 +8,7 @@
 //! run over these variables alone and no next-state copy is allocated.
 
 use crate::encoding::{Block, Encoding};
-use crate::image::TransitionEffect;
+use crate::image::{compute_transition_effect, TransitionEffect};
 use crate::plan::ImagePlan;
 use crate::traverse::{PassObserver, ReachabilityResult, TraversalOptions};
 use pnsym_bdd::{BddManager, ManagerStats, Ref, VarId};
@@ -45,8 +45,6 @@ pub struct SymbolicContext {
     chi: Vec<Ref>,
     enabling: Vec<Ref>,
     initial: Ref,
-    /// Memoized constant effects (eq. 6), one per transition.
-    effects: Vec<TransitionEffect>,
     /// The precomputed image plan, built lazily on first image or
     /// pre-image computation.
     plan: Option<Rc<ImagePlan>>,
@@ -101,14 +99,6 @@ impl SymbolicContext {
         let initial = marking_cube(&mut manager, &encoding, net.initial_marking());
         manager.protect(initial);
 
-        // Memoize the constant effect of every transition (eq. 6): it is
-        // pure combinational data, and the image machinery consults it on
-        // every firing of every iteration.
-        let effects = net
-            .transitions()
-            .map(|t| crate::image::compute_transition_effect(net, &encoding, t))
-            .collect();
-
         SymbolicContext {
             net: net.clone(),
             encoding,
@@ -116,15 +106,14 @@ impl SymbolicContext {
             chi,
             enabling,
             initial,
-            effects,
             plan: None,
             reached: None,
         }
     }
 
-    /// The memoized constant effect of `t` on the state variables (eq. 6).
-    pub fn transition_effect(&self, t: TransitionId) -> &TransitionEffect {
-        &self.effects[t.index()]
+    /// The constant effect of `t` on the state variables (eq. 6).
+    pub fn transition_effect(&self, t: TransitionId) -> TransitionEffect {
+        compute_transition_effect(&self.net, &self.encoding, t)
     }
 
     /// The precomputed [`ImagePlan`] of this context, built on first use.

@@ -41,8 +41,10 @@ impl TransitionEffect {
 }
 
 /// Computes the constant effect of `t` on the state variables of
-/// `encoding`. Pure combinational data; memoized per context by
-/// [`SymbolicContext::new`].
+/// `encoding`. Pure combinational data; [`ImagePlan::build`] turns each
+/// effect into a target cube once per context.
+///
+/// [`ImagePlan::build`]: crate::plan::ImagePlan
 ///
 /// # Panics
 ///

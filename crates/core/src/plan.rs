@@ -81,17 +81,17 @@ impl ImagePlan {
         let num_transitions = ctx.net().num_transitions();
         let ranks = structural_transition_ranks(ctx.net());
 
-        // Group transitions by their written-variable set.
+        // Group transitions by their written-variable set; each constant
+        // effect (eq. 6) is computed once, here, and read again for its cube.
+        let effects: Vec<_> = ctx
+            .net()
+            .transitions()
+            .map(|t| ctx.transition_effect(t))
+            .collect();
         let mut groups: HashMap<Vec<usize>, Vec<TransitionId>> = HashMap::new();
-        for ti in 0..num_transitions {
-            let t = TransitionId(ti as u32);
-            let written: Vec<usize> = ctx
-                .transition_effect(t)
-                .assignments
-                .iter()
-                .map(|&(i, _)| i)
-                .collect();
-            groups.entry(written).or_default().push(t);
+        for effect in &effects {
+            let written: Vec<usize> = effect.assignments.iter().map(|&(i, _)| i).collect();
+            groups.entry(written).or_default().push(effect.transition);
         }
         let mut keyed: Vec<(Vec<usize>, Vec<TransitionId>)> = groups.into_iter().collect();
         // Deterministic cluster order: by first member transition.
@@ -104,8 +104,7 @@ impl ImagePlan {
             let mut rank = usize::MAX;
             for t in transitions {
                 let enabling = ctx.enabling_fn(t);
-                let lits: Vec<(VarId, bool)> = ctx
-                    .transition_effect(t)
+                let lits: Vec<(VarId, bool)> = effects[t.index()]
                     .assignments
                     .iter()
                     .map(|&(i, value)| (SymbolicContext::state_var(i), value))

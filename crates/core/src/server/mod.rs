@@ -30,7 +30,7 @@ pub use proto::{
 pub use scheduler::{build_context, NetResolver, Scheduler, ServerConfig};
 pub use snapshot::{snapshot_checksum, SnapshotRejection, SnapshotStore};
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -207,9 +207,13 @@ pub fn serve(
     })
 }
 
+/// The longest request line the daemon buffers, newline excluded. A longer
+/// line is answered with a typed `request` error and discarded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Reads request lines off one connection until the peer closes it. Every
-/// malformed line is answered with a terminal typed error — the connection
-/// itself always survives bad input.
+/// malformed or over-long line is answered with a terminal typed error —
+/// the connection itself always survives bad input.
 fn handle_connection(stream: TcpStream, jobs: mpsc::Sender<Job>, admission: Arc<Admission>) {
     // Responses are small lines written one at a time; Nagle's algorithm
     // would serialize each behind the peer's delayed ACK.
@@ -219,20 +223,38 @@ fn handle_connection(stream: TcpStream, jobs: mpsc::Sender<Job>, admission: Arc<
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match Request::parse(line.trim_end()) {
+        let overlong = line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n");
+        let parsed = if overlong {
+            Err(ProtoError::request(format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes"
+            )))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => Request::parse(text.trim_end()),
+                Err(_) => Err(ProtoError::request(
+                    "request line is not valid UTF-8".to_string(),
+                )),
+            }
+        };
+        let request = match parsed {
             Ok(request) => request,
             Err(err) => {
                 if write_line(&mut writer, &err.into_response(0).to_line()).is_err() {
+                    return;
+                }
+                // Discard the rest of an over-long line, up to its newline.
+                if overlong && !matches!(reader.skip_until(b'\n'), Ok(n) if n > 0) {
                     return;
                 }
                 continue;

@@ -86,7 +86,7 @@ impl ProtoError {
         }
     }
 
-    fn request(message: String) -> ProtoError {
+    pub(crate) fn request(message: String) -> ProtoError {
         ProtoError {
             code: ErrorCode::Request,
             message,

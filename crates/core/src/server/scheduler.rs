@@ -27,7 +27,6 @@ use super::proto::{CheckRequest, ErrorCode, PoolOutcome, Request, Response, Verd
 use super::snapshot::SnapshotStore;
 use crate::context::SymbolicContext;
 use crate::encoding::{AssignmentStrategy, Encoding};
-use crate::mc::TraceKind;
 use crate::property::Property;
 use crate::traverse::{FixpointStrategy, TraversalOptions};
 use pnsym_bdd::{Ref, TruncationReason};
@@ -466,14 +465,6 @@ impl Scheduler {
             truncated: query_truncated,
             total_ms: start.elapsed().as_secs_f64() * 1e3,
         });
-    }
-}
-
-/// What kind of trace a verdict line carries, re-exported for clients.
-pub fn trace_kind_name(kind: TraceKind) -> &'static str {
-    match kind {
-        TraceKind::Witness => "witness",
-        TraceKind::Counterexample => "counterexample",
     }
 }
 

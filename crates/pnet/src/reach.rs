@@ -177,15 +177,6 @@ impl PetriNet {
             edges,
         })
     }
-
-    /// Counts the reachable markings without retaining the graph edges.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PetriNet::explore_with`].
-    pub fn count_reachable(&self, options: ExploreOptions) -> Result<usize, ExploreError> {
-        Ok(self.explore_with(options)?.num_markings())
-    }
 }
 
 #[cfg(test)]

@@ -53,11 +53,6 @@ impl CoverProblem {
         self.covers.len() - 1
     }
 
-    /// Number of covers added so far.
-    pub fn num_covers(&self) -> usize {
-        self.covers.len()
-    }
-
     /// Whether every element appears in at least one cover.
     pub fn is_coverable(&self) -> bool {
         let mut covered = PlaceSet::new(self.num_elements);

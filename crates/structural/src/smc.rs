@@ -52,11 +52,6 @@ impl Smc {
         self.set.contains(p)
     }
 
-    /// Whether transition `t` is covered by the component.
-    pub fn covers_transition(&self, t: TransitionId) -> bool {
-        self.transitions.binary_search(&t).is_ok()
-    }
-
     /// Number of tokens the component holds in the initial marking.
     pub fn initial_tokens(&self) -> usize {
         self.initial_tokens

@@ -316,6 +316,10 @@ mod daemon_matrix {
         request
     }
 
+    /// A net whose cold check outlasts a 1ms deadline by a wide margin at
+    /// release speed.
+    const HEAVY_NET: &str = "dme-spec-12";
+
     fn done_truncation(responses: &[Response]) -> Option<TruncationReason> {
         match responses.last() {
             Some(Response::Done { truncated, .. }) => *truncated,
@@ -334,12 +338,14 @@ mod daemon_matrix {
         let addr = handle.addr();
 
         let mut workers = Vec::new();
-        // Client 0: 1ms deadline against a net whose cold traversal takes
-        // far longer than 1ms — a deterministic Deadline truncation.
+        // Client 0: 1ms deadline against a net whose cold structural pass
+        // alone takes far longer than 1ms (about 20ms in a release build).
+        // The window opens before the cold context build, so the traversal
+        // starts with nothing left: a deterministic Deadline truncation.
         workers.push(thread::spawn(move || {
             let mut client = Client::connect(addr).expect("connect");
             let responses = client
-                .request(&governed_check(10, "dme-spec-6", Some(1), None))
+                .request(&governed_check(10, HEAVY_NET, Some(1), None))
                 .expect("governed query");
             assert_eq!(
                 done_truncation(&responses),
@@ -397,7 +403,7 @@ mod daemon_matrix {
         // ungoverned on the same daemon (same pooled context).
         let mut client = Client::connect(addr).expect("connect");
         let responses = client
-            .request(&governed_check(99, "dme-spec-6", None, None))
+            .request(&governed_check(99, HEAVY_NET, None, None))
             .expect("ungoverned follow-up");
         assert_eq!(
             done_truncation(&responses),

@@ -10,7 +10,7 @@
 use pnsym::net::nets;
 use pnsym::server::{
     serve, CheckRequest, Client, ErrorCode, Json, NamedFormula, NetResolver, PoolOutcome, Request,
-    Response, ServerConfig, Verdict,
+    Response, ServerConfig, Verdict, MAX_LINE_BYTES,
 };
 use pnsym::{TraceKind, TruncationReason};
 use proptest::prelude::*;
@@ -330,4 +330,50 @@ proptest! {
         prop_assert_eq!(pong, vec![Response::Pong { id: 11 }]);
         handle.shutdown();
     }
+}
+
+/// A peer that streams more than `MAX_LINE_BYTES` without a newline gets a
+/// terminal typed `request` error as soon as the cap is crossed — not once
+/// the line ends — and the connection serves the next line after it. A
+/// line that is not UTF-8 is refused the same way.
+#[test]
+fn over_long_and_non_utf8_lines_are_refused_and_the_connection_survives() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = boot();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut read_response = || {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("response within the timeout");
+        Response::parse(line.trim_end()).expect("well-formed response")
+    };
+
+    stream
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("send over-long line");
+    let mut expect_request_error = || match read_response() {
+        Response::Error { code, terminal, .. } => {
+            assert_eq!(code, ErrorCode::Request);
+            assert!(terminal);
+        }
+        other => panic!("expected a typed request error, got {other:?}"),
+    };
+    expect_request_error();
+
+    stream.write_all(b"xx\n").expect("end the over-long line");
+    stream
+        .write_all(b"\xff\xfe\n")
+        .expect("send a non-UTF-8 line");
+    expect_request_error();
+    stream
+        .write_all(format!("{}\n", Request::Ping { id: 12 }.to_line()).as_bytes())
+        .expect("send ping");
+    assert_eq!(read_response(), Response::Pong { id: 12 });
+    handle.shutdown();
 }
