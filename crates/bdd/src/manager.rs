@@ -20,9 +20,10 @@
 //! With both rules, equal `Ref`s ⇔ equal functions, in O(1). Canonicity is
 //! enforced by one open-addressing [`UniqueTable`] per level
 //! (multiplicative hashing, linear probing, no per-entry allocation) and
-//! operations are memoised in a direct-mapped lossy [`ComputedCache`]
-//! invalidated by generation counter — see [`crate::table`] and
-//! [`crate::cache`] for the rationale. [`BddManager::check_canonical`]
+//! operations are memoised in a two-way set-associative lossy
+//! [`ComputedCache`] whose entries survive a collection unless they name a
+//! reclaimed node — see [`crate::table`] and [`crate::cache`] for the
+//! rationale. [`BddManager::check_canonical`]
 //! audits the whole arena against these rules (debug-asserted after every
 //! collection and sift).
 
@@ -144,6 +145,11 @@ pub(crate) enum Op {
     AndCofactor,
 }
 
+impl Op {
+    /// Number of tags (the last variant's tag plus one).
+    pub(crate) const COUNT: usize = Op::AndCofactor as usize + 1;
+}
+
 /// Computed-cache hit/miss counters of one operation family
 /// (see [`ManagerStats::per_op`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -199,6 +205,10 @@ pub struct ManagerStats {
     pub cache_misses: u64,
     /// Computed-cache inserts that evicted a live entry (lossy collisions).
     pub cache_overwrites: u64,
+    /// Doublings of the computed cache so far. The cache grows on its own
+    /// insert traffic, and each doubling is paid by the operation whose
+    /// insert crosses the line.
+    pub cache_growths: u64,
     /// Per-operation cache counters of `and` (also carries the traffic of
     /// `or` and `diff`, which are derived through De Morgan on complement
     /// edges and share the `and` cache entries; negation is an O(1) bit
@@ -539,11 +549,9 @@ impl BddManager {
                 marked: false,
                 free: false,
             });
-            // Keep the computed cache sized ahead of the arena: the apply
-            // recursions memoise operand *pairs*, whose working set runs
-            // ahead of the node count, and a cache much smaller than that
-            // working set thrashes (see ComputedCache).
-            self.cache.ensure_covers(2 * self.nodes.len());
+            // The computed cache is not sized from the arena: the arena
+            // also holds every dead intermediate since the last collection,
+            // so the cache grows only on its own insert traffic.
             idx
         };
         // Every allocation grows the live set by exactly one node, so the
@@ -723,6 +731,7 @@ impl BddManager {
             cache_hits: counters.hits(),
             cache_misses: counters.misses(),
             cache_overwrites: counters.overwrites,
+            cache_growths: self.cache.growth_events(),
             op_and: op(&[Op::And]),
             op_exists: op(&[Op::Exists]),
             op_and_exists: op(&[Op::AndExists, Op::AndExistsAssign, Op::AndCofactor]),
@@ -740,9 +749,12 @@ impl BddManager {
     ///
     /// Every node not reachable from a [protected](BddManager::protect) root
     /// is reclaimed. Unique tables are rebuilt *in place* (their allocations
-    /// are kept) and the computed cache is invalidated in O(1) by bumping its
-    /// generation counter, so a collection costs one pass over the arena and
-    /// nothing else. Unprotected `Ref`s held by the caller are invalidated.
+    /// are kept). The computed cache is swept once: an entry survives if
+    /// both operands, its third key word and its result all point at marked
+    /// nodes (CUDD's `cuddGarbageCollect` rule), so only the entries naming a
+    /// reclaimed node are dropped and the survivors' memoised work carries
+    /// over to the next operations. Unprotected `Ref`s held by the caller are
+    /// invalidated.
     pub fn collect_garbage(&mut self) {
         // Mark phase (roots are node indices).
         let roots: Vec<u32> = self.protected.keys().copied().collect();
@@ -750,6 +762,18 @@ impl BddManager {
             self.mark(r);
         }
         self.nodes[TERMINAL as usize].marked = true;
+        // Every cache key word and result is an edge; keep the entries whose
+        // four nodes are all marked, before the sweep clears the marks. The
+        // marks are first packed into a bitmap, so the cache sweep's random
+        // lookups hit a table 160 times smaller than the node arena.
+        let mut marks = vec![0u64; self.nodes.len().div_ceil(64)];
+        for (i, n) in self.nodes.iter().enumerate() {
+            marks[i >> 6] |= (n.marked as u64) << (i & 63);
+        }
+        self.cache.retain(|edge| {
+            let i = (edge >> 1) as usize;
+            marks[i >> 6] >> (i & 63) & 1 == 1
+        });
         // Sweep phase: empty the tables without freeing their storage.
         let mut reclaimed = 0usize;
         for level_table in &mut self.unique {
@@ -787,13 +811,12 @@ impl BddManager {
             self.nodes[(n.low >> 1) as usize].refcount += 1;
             self.nodes[(n.high >> 1) as usize].refcount += 1;
         }
-        self.cache.invalidate_all();
         self.gc_runs += 1;
         self.gc_reclaimed += reclaimed;
         debug_assert!(
-            self.check_canonical().is_ok(),
-            "canonical-form audit failed after GC: {:?}",
-            self.check_canonical()
+            self.check_invariants().is_ok(),
+            "invariant audit failed after GC: {:?}",
+            self.check_invariants()
         );
     }
 
@@ -822,8 +845,9 @@ impl BddManager {
         self.cache.put(key.0 as u8, key.1, key.2, key.3, value);
     }
 
-    /// Invalidates the computed cache (normally only needed by reordering).
-    /// O(1): bumps the cache generation instead of touching the slots.
+    /// Empties the computed cache (reordering does this itself; garbage
+    /// collection keeps every entry whose nodes survive). One pass over the
+    /// slots, skipped when nothing was inserted since the last clear.
     pub fn clear_cache(&mut self) {
         self.cache.invalidate_all();
     }
@@ -876,11 +900,25 @@ impl BddManager {
         Ok(())
     }
 
-    /// Checks internal invariants; an alias of
-    /// [`BddManager::check_canonical`] kept for the pre-complement-edge
-    /// test suites.
+    /// Checks internal invariants: [`BddManager::check_canonical`], and
+    /// that no computed-cache entry names a freed node (a collection must
+    /// drop every entry whose operands or result it reclaimed, or a reused
+    /// slot would answer for a different function). Debug-asserted after
+    /// every garbage collection.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.check_canonical()
+        self.check_canonical()?;
+        for words in self.cache.occupied() {
+            let dead = words
+                .iter()
+                .find(|&&edge| self.nodes.get((edge >> 1) as usize).is_none_or(|n| n.free));
+            if let Some(edge) = dead {
+                return Err(format!(
+                    "computed-cache entry {words:?} names freed node {}",
+                    edge >> 1
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1003,6 +1041,35 @@ mod tests {
         // Disjunction has no cache traffic of its own: the `or` above is
         // accounted entirely to `and`.
         assert_eq!(s.op_and.lookups(), s.cache_hits + s.cache_misses);
+    }
+
+    #[test]
+    fn gc_keeps_the_cache_entries_of_surviving_nodes() {
+        let mut m = BddManager::with_vars(6);
+        let vars = m.variables();
+        let lits: Vec<Ref> = vars.iter().map(|&v| m.var(v)).collect();
+        let f = m.or_many(&lits[..3]);
+        let g = m.xor(lits[3], lits[4]);
+        let g = m.or(g, lits[5]);
+        let h = m.and(f, g);
+        m.xor(f, lits[5]); // unprotected: reclaimed with its cache entries
+        m.protect(f);
+        m.protect(g);
+        m.protect(h);
+        m.collect_garbage();
+        assert!(m.stats().gc_reclaimed > 0);
+        assert!(m.check_invariants().is_ok());
+        // The conjunction over protected operands is answered from the
+        // entry computed before the collection: one lookup, one hit.
+        let before = m.stats().op_and;
+        assert_eq!(m.and(f, g), h);
+        let after = m.stats().op_and;
+        assert_eq!(after.hits - before.hits, 1);
+        assert_eq!(after.misses, before.misses);
+        // An explicit clear empties the cache.
+        m.clear_cache();
+        assert_eq!(m.and(f, g), h);
+        assert!(m.stats().op_and.misses > after.misses);
     }
 
     #[test]

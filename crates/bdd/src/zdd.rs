@@ -10,9 +10,11 @@
 //! children are kept.
 //!
 //! Storage mirrors the BDD kernel: one open-addressing
-//! [`UniqueTable`](crate::table) per element level and a direct-mapped lossy
-//! [`ComputedCache`](crate::cache) for the set operations (a lost cache
-//! entry only costs a recomputation, so lossiness is sound).
+//! [`UniqueTable`](crate::table) per element level and a set-associative
+//! lossy [`ComputedCache`](crate::cache) for the set operations (a lost cache
+//! entry only costs a recomputation, so lossiness is sound). The ZDD keys
+//! hold element ids and update handles beside node indices, and the manager
+//! never collects, so its cache is never swept by node liveness.
 
 use crate::budget::{Budget, Interrupt};
 use crate::cache::ComputedCache;
@@ -61,7 +63,7 @@ struct ZNode {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ZOp {
+pub(crate) enum ZOp {
     Union,
     Intersect,
     Diff,
@@ -69,6 +71,11 @@ enum ZOp {
     Subset1,
     Change,
     Apply,
+}
+
+impl ZOp {
+    /// Number of tags (the last variant's tag plus one).
+    pub(crate) const COUNT: usize = ZOp::Apply as usize + 1;
 }
 
 /// One per-element step of a fused transition update (see
@@ -271,7 +278,6 @@ impl ZddManager {
         let idx = self.nodes.len() as u32;
         self.nodes.push(ZNode { level, low, high });
         self.unique[level as usize].insert(low, high, idx);
-        self.cache.ensure_covers(2 * self.nodes.len());
         idx
     }
 

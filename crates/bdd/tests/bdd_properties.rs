@@ -208,7 +208,8 @@ proptest! {
         // The fused relational product must equal the two-step
         // `exists(and(f, g), cube)` on arbitrary quantification sets, and
         // keep doing so after garbage collection (which rebuilds the unique
-        // tables and bumps the cache generation) and sifting (which rewrites
+        // tables and keeps the cache entries whose nodes survive) and
+        // sifting (which empties the cache and rewrites
         // the diagrams level by level) run in between — the kernel
         // interleaving every traversal iteration exercises.
         let mut m = BddManager::with_vars(NVARS);
@@ -355,9 +356,9 @@ proptest! {
         steps in proptest::collection::vec((arb_expr(), 0u8..4), 1..10)
     ) {
         // Random operations interleaved with garbage collections (which
-        // rebuild the open-addressing unique tables in place and bump the
-        // cache generation) and sifting (which rewrites the tables level by
-        // level). Invariants and canonicity must survive every interleaving.
+        // rebuild the open-addressing unique tables in place and keep the
+        // cache entries whose nodes survive) and sifting (which rewrites the
+        // tables level by level). Invariants and canonicity must survive every interleaving.
         let mut m = BddManager::with_vars(NVARS);
         let mut roots: Vec<(Expr, Ref)> = Vec::new();
         for (expr, action) in steps {
@@ -429,6 +430,64 @@ proptest! {
         // The deterministic postorder export makes the serialized form
         // canonical: re-exporting the imported roots is bit-identical.
         prop_assert_eq!(replica.export_subgraph(&imported), serialized);
+    }
+
+    #[test]
+    fn cache_entries_kept_across_gc_give_the_refs_of_a_cleared_cache(
+        leaves in proptest::collection::vec(arb_expr(), 2..5),
+        ops in proptest::collection::vec(
+            (0u8..4, any::<usize>(), any::<usize>(), any::<usize>()),
+            1..24,
+        ),
+        gc_at in 0usize..24,
+        keep in any::<u32>(),
+    ) {
+        // Two managers run the same operations. At step `gc_at` both
+        // protect the same operands (bit `n % 32` of `keep` for the n-th,
+        // and always the newest) and collect garbage; the second also
+        // clears its cache, so it recomputes what the first may answer
+        // from entries kept across its collection. The connectives only
+        // allocate nodes of their own result, so the two arenas stay in
+        // lockstep and every result must be the very same `Ref`.
+        let mut ms = [BddManager::with_vars(NVARS), BddManager::with_vars(NVARS)];
+        let mut pools: [Vec<Ref>; 2] = [Vec::new(), Vec::new()];
+        for (m, pool) in ms.iter_mut().zip(pools.iter_mut()) {
+            *pool = leaves.iter().map(|e| e.build(m)).collect();
+        }
+        prop_assert_eq!(&pools[0], &pools[1]);
+        for (step, &(op, i, j, k)) in ops.iter().enumerate() {
+            for (side, (m, pool)) in ms.iter_mut().zip(pools.iter_mut()).enumerate() {
+                if step == gc_at {
+                    let last = pool.len() - 1;
+                    pool.retain({
+                        let mut n = 0;
+                        move |_| {
+                            n += 1;
+                            n - 1 == last || keep >> ((n - 1) % 32) & 1 == 1
+                        }
+                    });
+                    for &f in pool.iter() {
+                        m.protect(f);
+                    }
+                    m.collect_garbage();
+                    if side == 1 {
+                        m.clear_cache();
+                    }
+                    prop_assert!(m.check_invariants().is_ok());
+                }
+                let len = pool.len();
+                let (f, g, h) = (pool[i % len], pool[j % len], pool[k % len]);
+                let r = match op {
+                    0 => m.and(f, g),
+                    1 => m.or(f, g),
+                    2 => m.xor(f, g),
+                    _ => m.ite(f, g, h),
+                };
+                pool.push(r);
+            }
+            prop_assert_eq!(&pools[0], &pools[1]);
+        }
+        prop_assert!(ms[0].check_invariants().is_ok());
     }
 }
 

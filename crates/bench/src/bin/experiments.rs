@@ -338,6 +338,7 @@ fn bdd_record(experiment: &str, net: &str, scheme: &str, r: &AnalysisReport) -> 
         ("cache_hits", Json::Int(s.cache_hits as i64)),
         ("cache_misses", Json::Int(s.cache_misses as i64)),
         ("cache_overwrites", Json::Int(s.cache_overwrites as i64)),
+        ("cache_growths", Json::Int(s.cache_growths as i64)),
         ("cache_hit_rate", Json::Float(s.cache_hit_rate())),
         ("cache_capacity", Json::Int(s.cache_capacity as i64)),
         ("gc_runs", Json::Int(s.gc_runs as i64)),
@@ -383,11 +384,12 @@ fn zdd_record(experiment: &str, net: &str, r: &ZddAnalysisReport) -> Json {
 fn fmt_kernel_stats(r: &AnalysisReport) -> String {
     let s = r.manager_stats;
     format!(
-        "cache-hit {:.1}% ({}/{} lookups, {} overwrites) uniq-load {:.2} gc {}",
+        "cache-hit {:.1}% ({}/{} lookups, {} overwrites, {} growths) uniq-load {:.2} gc {}",
         s.cache_hit_rate() * 100.0,
         s.cache_hits,
         s.cache_hits + s.cache_misses,
         s.cache_overwrites,
+        s.cache_growths,
         s.unique_load(),
         s.gc_runs
     )
