@@ -9,7 +9,7 @@
 //! the manager's checkpoint once per cache miss, which ticks a counter and
 //! only performs the real (clock-reading, node-counting) check every
 //! [`Budget::CHECK_INTERVAL`] ticks, so the fast path stays free. Traversal
-//! drivers force a full check at every cluster/pass boundary, which makes
+//! drivers force a full check at every pass and firing boundary, which makes
 //! tiny-deadline runs truncate deterministically even on nets too small for
 //! the amortized in-recursion check to fire.
 //!

@@ -189,12 +189,6 @@ impl ComputedCache {
         1 << self.max_log2
     }
 
-    /// Changes the hard cap (shrinking the cap does not shrink an already
-    /// grown cache).
-    pub(crate) fn set_max_log2(&mut self, max_log2: u32) {
-        self.max_log2 = max_log2.max(self.capacity().trailing_zeros());
-    }
-
     /// Cache statistics counters.
     #[inline]
     pub(crate) fn counters(&self) -> CacheCounters {

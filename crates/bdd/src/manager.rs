@@ -196,8 +196,8 @@ pub struct ManagerStats {
     pub unique_entries: usize,
     /// Slots allocated across all per-level unique tables.
     pub unique_capacity: usize,
-    /// Slots of the computed cache (bounded; see
-    /// [`BddManager::set_cache_max_log2`]).
+    /// Slots of the computed cache (hard-capped, so cache memory stays
+    /// bounded).
     pub cache_capacity: usize,
     /// Computed-cache lookups answered from the cache.
     pub cache_hits: u64,
@@ -673,7 +673,7 @@ impl BddManager {
     }
 
     /// Forces a full budget check right now, skipping the amortization.
-    /// Traversal drivers call this at every pass/cluster boundary so even
+    /// Traversal drivers call this at every pass and firing boundary so even
     /// a run too small to trip the amortized in-recursion check still
     /// observes a tiny deadline deterministically.
     pub fn force_checkpoint(&mut self) -> Result<(), Interrupt> {
@@ -736,13 +736,6 @@ impl BddManager {
             op_exists: op(&[Op::Exists]),
             op_and_exists: op(&[Op::AndExists, Op::AndExistsAssign, Op::AndCofactor]),
         }
-    }
-
-    /// Caps the computed cache at `2^max_log2` slots. The cache starts small
-    /// and grows under insert pressure, but never beyond this bound, after
-    /// which colliding inserts overwrite (the cache is lossy by design).
-    pub fn set_cache_max_log2(&mut self, max_log2: u32) {
-        self.cache.set_max_log2(max_log2);
     }
 
     /// Mark-and-sweep garbage collection.

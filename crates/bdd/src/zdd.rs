@@ -79,13 +79,12 @@ impl ZOp {
 }
 
 /// One per-element step of a fused transition update (see
-/// [`ZddManager::register_update`]). The four kinds cover both directions
-/// of a Petri-net firing on the sparse marking representation.
+/// [`ZddManager::register_update`]). The three kinds cover a Petri-net
+/// firing on the sparse marking representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ZddUpdateAction {
     /// Keep only the sets containing the element and remove it from each
-    /// (≡ `subset1`): a consumed place that is not produced back, or a
-    /// produced place on the backward step.
+    /// (≡ `subset1`): a consumed place that is not produced back.
     RequireRemove,
     /// Keep only the sets containing the element, leaving it in place: a
     /// self-loop place (in both the pre- and the post-set).
@@ -93,10 +92,6 @@ pub enum ZddUpdateAction {
     /// Toggle membership of the element in every set (≡ `change`): a
     /// produced place that was not consumed.
     Toggle,
-    /// Keep only the sets *not* containing the element, then add it to each
-    /// (≡ `subset0` followed by `change`): the backward step restoring a
-    /// consumed place.
-    ForbidAdd,
 }
 
 /// Handle to a fused update list interned by
@@ -220,7 +215,7 @@ impl ZddManager {
         }
     }
 
-    /// Forces a full budget check right now (pass/cluster boundaries).
+    /// Forces a full budget check right now (pass and firing boundaries).
     pub fn force_checkpoint(&mut self) -> Result<(), Interrupt> {
         if self.budget.is_none() {
             return Ok(());
@@ -641,7 +636,7 @@ impl ZddManager {
             // element above the whole remainder.
             match action {
                 ZddUpdateAction::RequireRemove | ZddUpdateAction::RequireKeep => EMPTY,
-                ZddUpdateAction::Toggle | ZddUpdateAction::ForbidAdd => {
+                ZddUpdateAction::Toggle => {
                     let rest = self.apply_rec(f, u, i + 1)?;
                     self.mk(e, EMPTY, rest)
                 }
@@ -660,10 +655,6 @@ impl ZddManager {
                     let gained = self.apply_rec(n.low, u, i + 1)?;
                     let lost = self.apply_rec(n.high, u, i + 1)?;
                     self.mk(e, lost, gained)
-                }
-                ZddUpdateAction::ForbidAdd => {
-                    let rest = self.apply_rec(n.low, u, i + 1)?;
-                    self.mk(e, EMPTY, rest)
                 }
             }
         } else {
@@ -881,10 +872,6 @@ mod tests {
                     z.change(kept, e)
                 }
                 ZddUpdateAction::Toggle => z.change(acc, e),
-                ZddUpdateAction::ForbidAdd => {
-                    let without = z.subset0(acc, e);
-                    z.change(without, e)
-                }
             };
         }
         acc
@@ -907,14 +894,9 @@ mod tests {
         let updates: Vec<Vec<(usize, ZddUpdateAction)>> = vec![
             vec![(0, RequireRemove), (2, Toggle)],
             vec![(1, RequireKeep)],
-            vec![(3, ForbidAdd), (0, RequireRemove)],
-            vec![(5, Toggle), (4, RequireRemove), (1, ForbidAdd)],
-            vec![
-                (0, RequireKeep),
-                (1, RequireRemove),
-                (2, ForbidAdd),
-                (3, Toggle),
-            ],
+            vec![(3, Toggle), (0, RequireRemove)],
+            vec![(5, Toggle), (4, RequireRemove), (1, RequireKeep)],
+            vec![(0, RequireKeep), (1, RequireRemove), (3, Toggle)],
             vec![],
         ];
         for actions in updates {
@@ -936,7 +918,7 @@ mod tests {
         assert_eq!(z.apply_update(z.empty(), fire), z.empty());
         // The empty set fails the requirement on element 0.
         assert_eq!(z.apply_update(z.base(), fire), z.empty());
-        let add = z.register_update(&[(1, Toggle), (2, ForbidAdd)]);
+        let add = z.register_update(&[(1, Toggle), (2, Toggle)]);
         let b = z.base();
         let got = z.apply_update(b, add);
         assert_eq!(z.sets(got), vec![vec![1, 2]]);

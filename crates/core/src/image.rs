@@ -107,40 +107,26 @@ impl SymbolicContext {
     /// [`ImagePlan`](crate::plan::ImagePlan) artefacts of `t`: its enabling
     /// function and target cube are built once per context, not per call.
     pub fn image(&mut self, from: Ref, t: TransitionId) -> Ref {
-        let plan = self.image_plan();
-        let (_, planned) = plan.planned(t);
-        self.manager_mut()
-            .and_exists_assign(from, planned.enabling, planned.target)
+        self.try_image(from, t)
+            .expect("budget breached inside an infallible image computation; governed callers must use try_image")
     }
 
-    /// The image of `from` under every transition of one plan cluster: one
-    /// `and_exists_assign` pass per member, OR-folded.
-    pub fn cluster_image(&mut self, cluster: usize, from: Ref) -> Ref {
-        self.try_cluster_image(cluster, from)
-            .expect("budget breached inside an infallible image computation; governed callers must use try_cluster_image")
-    }
-
-    /// Fallible [`SymbolicContext::cluster_image`]: unwinds with a typed
+    /// Fallible [`SymbolicContext::image`]: unwinds with a typed
     /// [`Interrupt`] when the manager's installed budget breaches inside
-    /// one of the member firings, leaving no partial protections behind.
-    pub fn try_cluster_image(&mut self, cluster: usize, from: Ref) -> Result<Ref, Interrupt> {
+    /// the firing, leaving no partial protections behind.
+    pub fn try_image(&mut self, from: Ref, t: TransitionId) -> Result<Ref, Interrupt> {
         let plan = self.image_plan();
-        let mut acc = self.manager().zero();
-        for member in &plan.clusters()[cluster].members {
-            let m = self.manager_mut();
-            let img = m.try_and_exists_assign(from, member.enabling, member.target)?;
-            acc = m.try_or(acc, img)?;
-        }
-        Ok(acc)
+        let planned = plan.planned(t);
+        self.manager_mut()
+            .try_and_exists_assign(from, planned.enabling, planned.target)
     }
 
     /// The image of `from` under *all* transitions: one symbolic step of the
-    /// breadth-first traversal.
+    /// breadth-first traversal, OR-folded in transition order.
     pub fn image_all(&mut self, from: Ref) -> Ref {
-        let plan = self.image_plan();
         let mut acc = self.manager().zero();
-        for cluster in 0..plan.num_clusters() {
-            let img = self.cluster_image(cluster, from);
+        for t in 0..self.net().num_transitions() {
+            let img = self.image(from, TransitionId(t as u32));
             acc = self.manager_mut().or(acc, img);
         }
         acc
@@ -209,22 +195,6 @@ mod tests {
             for s in &successors {
                 assert!(ctx.set_contains(img, s));
             }
-        }
-    }
-
-    #[test]
-    fn cluster_images_union_to_image_all() {
-        let net = philosophers(2);
-        for mut ctx in contexts(&net) {
-            let init = ctx.initial_set();
-            let full = ctx.image_all(init);
-            let plan = ctx.image_plan();
-            let mut acc = ctx.manager().zero();
-            for cluster in 0..plan.num_clusters() {
-                let img = ctx.cluster_image(cluster, init);
-                acc = ctx.manager_mut().or(acc, img);
-            }
-            assert_eq!(acc, full, "scheme {:?}", ctx.encoding().scheme());
         }
     }
 

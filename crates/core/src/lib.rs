@@ -17,9 +17,9 @@
 //!   (eq. 5), per-transition constant effects (eq. 6) and image
 //!   computation, over one BDD variable per state variable.
 //! * [`ImagePlan`] — the per-context precomputed artefacts of the image
-//!   and the pre-image (enabling functions, quantification and target
-//!   cubes), clustered by written variable set and protected across
-//!   garbage collection.
+//!   and the pre-image (each transition's enabling function and target
+//!   cube), protected across garbage collection, and the firing schedule
+//!   both engines share.
 //! * The pluggable fixpoint engine ([`FixpointStrategy`],
 //!   [`TraversalOptions`], [`ReachabilityResult`]): one generic driver
 //!   shared by the BDD and ZDD backends, with breadth-first and
@@ -77,7 +77,7 @@ pub use encoding::{AssignmentStrategy, Block, Encoding, SchemeKind};
 pub use explicit::ExplicitChecker;
 pub use image::TransitionEffect;
 pub use mc::{CheckReport, PortfolioReport, TraceKind};
-pub use plan::{ImageCluster, ImagePlan, PlannedTransition};
+pub use plan::{ImagePlan, PlannedTransition};
 pub use property::{Property, PropertyParseError};
 pub use toggling::{toggling_activity, toggling_of_state_codes, TogglingReport};
 pub use trace::WitnessTrace;

@@ -22,19 +22,19 @@
 //!
 //! `EF` (and through it `AG = ¬EF ¬`) *saturates* backwards over a
 //! complete reached set, on the same [`FixpointStrategy::Saturation`] code
-//! forward reachability runs on: clusters are bucketed by the topmost
-//! level they write and fired bottom-up, each firing ORs the cluster's
-//! pre-image of the current set into it, and a cluster re-fires only when
-//! a productive firing of a cluster it feeds has re-dirtied it. Skipping a
-//! clean cluster is sound because that set is closed under successors
-//! (see `BackwardKernel`). Over any other set `EF` and `AG` take the
-//! chained `EU` instead.
+//! forward reachability runs on: transitions are bucketed by the topmost
+//! level they write and fired bottom-up, each firing ORs the transition's
+//! pre-image of the current set into it, and a transition re-fires only
+//! when a productive firing of a transition it feeds has re-dirtied it.
+//! Skipping a clean transition is sound because that set is closed under
+//! successors (see `BackwardKernel`). Over any other set `EF` and `AG`
+//! take the chained `EU` instead.
 //!
 //! `EU` under an arbitrary `hold` *chains*: a sweep walks the plan's
-//! backward cluster order and ORs each cluster's pre-image of the current
-//! set, restricted to `hold`, into it at once, so a state found early in
-//! the sweep is already a target for the clusters after it; the fixpoint
-//! is reached when a full sweep adds nothing.
+//! backward firing order and ORs each transition's pre-image of the
+//! current set, restricted to `hold`, into it at once, so a state found
+//! early in the sweep is already a target for the transitions after it;
+//! the fixpoint is reached when a full sweep adds nothing.
 //!
 //! The greatest fixpoint `EG a` is bounded by T-semiflows over a set of
 //! reachable markings, complete or truncated: a cycle inside `a` fires a
@@ -63,7 +63,7 @@
 //! deadlock itself is expressible inside the language as `!EX true`.
 
 use crate::context::SymbolicContext;
-use crate::plan::{ImageCluster, ImagePlan, PlannedTransition};
+use crate::plan::{ImagePlan, PlannedTransition};
 use crate::property::Property;
 use crate::trace::WitnessTrace;
 use crate::traverse::{
@@ -170,32 +170,19 @@ enum Model {
 const GOVERNED_CTL: &str =
     "budget breached inside an infallible CTL fixpoint; governed callers must use the try_* variants";
 
-/// The plan's backward cluster order, shared by every backward step: the
-/// ranks of [`ImagePlan::structural_order`] reversed, clusters of equal
-/// rank in ascending order (reversing those too builds larger intermediate
-/// sets, and the slot-12 CTL suite runs markedly slower).
-fn backward_order(plan: &ImagePlan) -> impl Iterator<Item = usize> + '_ {
-    let clusters = plan.clusters();
-    plan.structural_order()
-        .chunk_by(move |&a, &b| clusters[a].rank == clusters[b].rank)
-        .rev()
-        .flatten()
-        .copied()
-}
-
 /// The backward kernel of saturation: `EF` inside a set
 /// `within` closed under successors. It is the forward
 /// [`BddFixpointKernel`] turned round in three places, and shares its set
 /// algebra, protections and forced per-pass checkpoint:
 ///
-/// * a cluster's "image" of `Z` is its pre-image of `Z`, restricted to
+/// * a transition's "image" of `Z` is its pre-image of `Z`, restricted to
 ///   `within`;
 /// * the feeds relation is transposed: firing `from` backwards can give
 ///   `to` new predecessors to add only when `to`'s post-set meets
 ///   `from`'s pre-set, i.e. when `to` feeds `from` forwards;
-/// * the clusters fire in [`backward_order`] within a level.
+/// * the transitions fire in the plan's backward order within a level.
 ///
-/// Skipping a clean cluster is sound for this reason. Say `to` was
+/// Skipping a clean transition is sound for this reason. Say `to` was
 /// saturated when `from` added a state `s` with `s --from--> s'` and `s'`
 /// in `Z`, and `u --to--> s` for a `u` in `within`. If `to` does not feed
 /// `from`, the two firings commute (`to` leaves `from`'s pre-set marked
@@ -224,25 +211,25 @@ impl FixpointKernel for BackwardKernel<'_> {
         self.forward.initial()
     }
 
-    fn num_clusters(&self) -> usize {
-        self.forward.num_clusters()
+    fn num_transitions(&self) -> usize {
+        self.forward.num_transitions()
     }
 
-    fn cluster_sequence(&self) -> Vec<usize> {
-        backward_order(&self.forward.plan).collect()
+    fn firing_order(&self) -> Vec<usize> {
+        self.forward.plan.schedule().backward_order().collect()
     }
 
-    fn cluster_top_level(&self, cluster: usize) -> u32 {
-        self.forward.cluster_top_level(cluster)
+    fn top_level(&self, t: usize) -> u32 {
+        self.forward.top_level(t)
     }
 
-    fn cluster_feeds(&self, from: usize, to: usize) -> bool {
-        self.forward.cluster_feeds(to, from)
+    fn feeds(&self, from: usize, to: usize) -> bool {
+        self.forward.feeds(to, from)
     }
 
-    fn cluster_image(&mut self, cluster: usize, z: Ref) -> Result<Ref, Interrupt> {
+    fn fire(&mut self, t: usize, z: Ref) -> Result<Ref, Interrupt> {
         let ctx = &mut *self.forward.ctx;
-        let pre = ctx.try_cluster_pre_image(&self.forward.plan.clusters()[cluster], z, None)?;
+        let pre = ctx.try_planned_pre_image(&self.forward.plan.transitions()[t], z)?;
         ctx.manager_mut().try_and(pre, self.within)
     }
 
@@ -328,16 +315,14 @@ impl SymbolicContext {
     /// (built once per context, not per call).
     pub fn pre_image(&mut self, target: Ref, t: TransitionId) -> Ref {
         let plan = self.image_plan();
-        let (_, planned) = plan.planned(t);
-        self.try_member_pre_image(planned, target)
+        self.try_planned_pre_image(plan.planned(t), target)
             .expect("budget breached inside an infallible pre-image; governed callers must use try_pre_image_all")
     }
 
-    /// The pre-image of `target` under all transitions (one backward step),
-    /// folded cluster by cluster in the plan's backward order: its
-    /// structural order with the ranks reversed, clusters of equal rank in
-    /// ascending order. Within a cluster the members' one-pass pre-images
-    /// ([`SymbolicContext::pre_image`]) are OR-folded.
+    /// The pre-image of `target` under all transitions (one backward step):
+    /// the one-pass pre-images ([`SymbolicContext::pre_image`]) OR-folded
+    /// in the plan's backward order, its firing order with the ranks
+    /// reversed and transitions of equal rank in ascending order.
     pub fn pre_image_all(&mut self, target: Ref) -> Ref {
         self.try_pre_image_all(target)
             .expect("budget breached inside an infallible pre-image; governed callers must use try_pre_image_all")
@@ -360,41 +345,25 @@ impl SymbolicContext {
         keep: Option<&[bool]>,
     ) -> Result<Ref, Interrupt> {
         let mut acc = self.manager().zero();
-        for c in backward_order(plan) {
-            let part = self.try_cluster_pre_image(&plan.clusters()[c], target, keep)?;
-            acc = self.manager_mut().try_or(acc, part)?;
+        for t in plan.schedule().backward_order() {
+            if keep.is_some_and(|keep| !keep[t]) {
+                continue;
+            }
+            let pre = self.try_planned_pre_image(&plan.transitions()[t], target)?;
+            acc = self.manager_mut().try_or(acc, pre)?;
         }
         Ok(acc)
     }
 
-    /// The pre-image of `target` under the members of one cluster (those
-    /// `keep` holds, given a mask indexed by transition), OR-folded.
-    fn try_cluster_pre_image(
-        &mut self,
-        cluster: &ImageCluster,
-        target: Ref,
-        keep: Option<&[bool]>,
-    ) -> Result<Ref, Interrupt> {
-        let mut part = self.manager().zero();
-        for member in &cluster.members {
-            if keep.is_some_and(|keep| !keep[member.transition.index()]) {
-                continue;
-            }
-            let pre = self.try_member_pre_image(member, target)?;
-            part = self.manager_mut().try_or(part, pre)?;
-        }
-        Ok(part)
-    }
-
     /// The pre-image of `target` under one planned transition:
     /// `E_t ∧ target[W_t := T_t]` in one `and_cofactor` pass.
-    fn try_member_pre_image(
+    fn try_planned_pre_image(
         &mut self,
-        member: &PlannedTransition,
+        planned: &PlannedTransition,
         target: Ref,
     ) -> Result<Ref, Interrupt> {
         self.manager_mut()
-            .try_and_cofactor(member.enabling, target, member.target)
+            .try_and_cofactor(planned.enabling, target, planned.target)
     }
 
     /// CTL `EX target` restricted to `within`: states of `within` with a
@@ -431,15 +400,15 @@ impl SymbolicContext {
     /// Governed [`SymbolicContext::ef`]. When `within` is the context's
     /// memoized complete reached set
     /// ([`SymbolicContext::memoized_reached`]), it saturates backwards on
-    /// the same code forward reachability runs on: clusters are bucketed
-    /// by the topmost level they write and fired bottom-up, and a cluster
-    /// re-fires only when a productive firing of a cluster it feeds
-    /// re-dirties it. Skipping a clean cluster is sound only because that
-    /// set is closed under successors (see `BackwardKernel`). Over any
-    /// other `within`, such as the partial set of a truncated run, it is
-    /// the chained `E[within U target]` ([`SymbolicContext::try_eu`]),
-    /// which is sound everywhere. The budget is force-checked at every
-    /// pass or sweep, and every protection taken is released on return.
+    /// the same code forward reachability runs on: transitions are bucketed
+    /// by the topmost level they write and fired bottom-up, and a
+    /// transition re-fires only when a productive firing of a transition it
+    /// feeds re-dirties it. Skipping a clean transition is sound only
+    /// because that set is closed under successors (see `BackwardKernel`).
+    /// Over any other `within`, such as the partial set of a truncated run,
+    /// it is the chained `E[within U target]` ([`SymbolicContext::try_eu`]),
+    /// which is sound everywhere. The budget is force-checked at every pass
+    /// or sweep, and every protection taken is released on return.
     pub fn try_ef(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
         let model = self.model_of(within);
         self.try_ef_in(target, within, model)
@@ -567,12 +536,10 @@ impl SymbolicContext {
     fn try_edge_labels(&mut self, plan: &ImagePlan, a: Ref) -> Result<Vec<bool>, Interrupt> {
         self.manager_mut().force_checkpoint()?;
         let mut labels = vec![false; self.net().num_transitions()];
-        for cluster in plan.clusters() {
-            for member in &cluster.members {
-                let pre = self.try_member_pre_image(member, a)?;
-                let inside = self.manager_mut().try_and(pre, a)?;
-                labels[member.transition.index()] = inside != self.manager().zero();
-            }
+        for (label, planned) in labels.iter_mut().zip(plan.transitions()) {
+            let pre = self.try_planned_pre_image(planned, a)?;
+            let inside = self.manager_mut().try_and(pre, a)?;
+            *label = inside != self.manager().zero();
         }
         Ok(labels)
     }
@@ -629,13 +596,13 @@ impl SymbolicContext {
     }
 
     /// Governed [`SymbolicContext::eu`], computed by *chaining*: each sweep
-    /// walks the backward cluster order of
-    /// [`SymbolicContext::pre_image_all`] and ORs every cluster's pre-image
-    /// of the current set, restricted to `hold ∧ within`, into the set at
-    /// once; a sweep that adds nothing ends the fixpoint. No cluster is
-    /// skipped as clean. [`SymbolicContext::try_ef`] may skip them because
-    /// its `within` is closed under successors, so a backward path with
-    /// two firings commuted stays inside it; under an arbitrary `hold` the
+    /// walks the backward order of [`SymbolicContext::pre_image_all`] and
+    /// ORs every transition's pre-image of the current set, restricted to
+    /// `hold ∧ within`, into the set at once; a sweep that adds nothing
+    /// ends the fixpoint. No transition is skipped as clean.
+    /// [`SymbolicContext::try_ef`] may skip them because its `within` is
+    /// closed under successors, so a backward path with two firings
+    /// commuted stays inside it; under an arbitrary `hold` the
     /// commuted path may leave `hold`, so only a full confirming sweep is
     /// sound. The same holds for a `within` that is not closed, which is
     /// why `E[within U target]` is the `EF` of a truncated run. The budget
@@ -649,8 +616,8 @@ impl SymbolicContext {
         loop {
             self.manager_mut().force_checkpoint()?;
             let swept_from = z;
-            for c in backward_order(&plan) {
-                let pre = self.try_cluster_pre_image(&plan.clusters()[c], z, None)?;
+            for t in plan.schedule().backward_order() {
+                let pre = self.try_planned_pre_image(&plan.transitions()[t], z)?;
                 let step = self.manager_mut().try_and(pre, hold_w)?;
                 z = self.manager_mut().try_or(z, step)?;
             }
@@ -1166,7 +1133,7 @@ mod tests {
     #[test]
     fn saturated_ef_and_ag_equal_the_chained_oracle() {
         // The oracle is the chained `E[within U target]`, which fires every
-        // cluster on every sweep; the saturated `EF` skips clean clusters.
+        // transition on every sweep; the saturated `EF` skips clean ones.
         let mut deadlock_nets = 0;
         for (net, mut ctx) in differential_contexts() {
             let reached = memoized(&mut ctx);
@@ -1204,7 +1171,7 @@ mod tests {
             // Holds: everything (EF), and each place unmarked, which a
             // firing that marks the place leaves. A hold that is not
             // closed under successors is the case in which a fixpoint
-            // that skips clean clusters would miss states; every net
+            // that skips clean transitions would miss states; every net
             // has one. Untils: each place, and deadlock.
             let mut pairs = Vec::new();
             let mut open_holds = 0;
@@ -1709,7 +1676,7 @@ mod tests {
         // Two saturation sweeps of the sparse slot-3 reach 6 markings, a
         // set that is not closed under successors. Over it the saturated
         // `EF !free.1` finds 4 of them and the chained
-        // `E[within U !free.1]` all 6: skipping clean clusters is unsound
+        // `E[within U !free.1]` all 6: skipping clean transitions is unsound
         // there, so the public `EF` over a set other than the memoized
         // reached set, and a portfolio over a truncated run, must chain.
         // The set holds reachable markings only, so the portfolio's `EG`

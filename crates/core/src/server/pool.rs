@@ -2,7 +2,7 @@
 //! net hash.
 //!
 //! Building a context is the expensive part of answering a query — encoding
-//! selection, variable ordering, transition clustering, and above all the
+//! selection, variable ordering, the image plan, and above all the
 //! first reachability fixpoint. The daemon therefore keeps the last few
 //! contexts warm: a repeat query for the same net reuses the context's
 //! `ImagePlan`, its computed caches, *and* the completed

@@ -12,15 +12,15 @@
 //!
 //! * **Breadth-first** — the paper's algorithm: one full image of the
 //!   frontier (or of the whole reached set) per iteration.
-//! * **Saturation** (the default) — clusters are bucketed by the topmost
-//!   decision-diagram level they write and saturated level by level,
-//!   bottom-up (deepest levels first): each level's clusters are fired to
-//!   a local fixpoint before the next level up fires at all, and firing is
-//!   *event-local* — a productive firing re-dirties exactly the clusters
-//!   its post-set can newly enable, and only dirty clusters ever re-fire,
-//!   so higher clusters re-fire only when something below them actually
-//!   changed.
-//!   Firing a cluster whose written variables sit deep in the order only
+//! * **Saturation** (the default) — transitions are bucketed by the
+//!   topmost decision-diagram level they write and saturated level by
+//!   level, bottom-up (deepest levels first): each level's transitions are
+//!   fired to a local fixpoint before the next level up fires at all, and
+//!   firing is *event-local* — a productive firing re-dirties exactly the
+//!   transitions its post-set can newly enable, and only dirty transitions
+//!   ever re-fire, so higher transitions re-fire only when something below
+//!   them actually changed.
+//!   Firing a transition whose written variables sit deep in the order only
 //!   ever rewrites the bottom of the reached-set diagram, so the
 //!   intermediate results stay small and heavily cached — the
 //!   flat-relation adaptation of Ciardo et al.'s saturation discipline
@@ -68,13 +68,13 @@ pub enum FixpointStrategy {
         /// or from the whole reached set (false).
         use_frontier: bool,
     },
-    /// Level saturation: clusters are bucketed by the topmost diagram
-    /// level they write (`FixpointKernel::cluster_top_level`) and
-    /// saturated bottom-up — each level runs a nested inner fixpoint
-    /// before anything above it fires, and a cluster re-fires only when a
-    /// productive firing structurally feeds it
-    /// (`FixpointKernel::cluster_feeds`), so stable regions of the net
-    /// are never re-imaged. Computes the same fixpoint as BFS.
+    /// Level saturation: transitions are bucketed by the topmost diagram
+    /// level they write (`FixpointKernel::top_level`) and saturated
+    /// bottom-up — each level runs a nested inner fixpoint before anything
+    /// above it fires, and a transition re-fires only when a productive
+    /// firing structurally feeds it (`FixpointKernel::feeds`), so stable
+    /// regions of the net are never re-imaged. Computes the same fixpoint
+    /// as BFS.
     /// `iterations` counts productive saturation sweeps. The default: it
     /// beats BFS in traversal time and peak nodes on all 15 nets of
     /// `experiments strategies`.
@@ -287,13 +287,16 @@ pub(crate) struct FixpointRun<S> {
 }
 
 /// The minimal backend surface the generic fixpoint driver needs: set
-/// algebra, per-cluster images, and optional protection/maintenance hooks.
+/// algebra, per-transition images, and optional protection/maintenance
+/// hooks. The unit it schedules and fires is one transition, named by its
+/// index.
 ///
 /// Implemented by the forward BDD engine (over [`SymbolicContext`] and its
 /// [`ImagePlan`]), the ZDD engine, and the CTL checker's backward kernel,
-/// which runs `EF` on [`FixpointStrategy::Saturation`]: its cluster
-/// "image" is a cluster's pre-image restricted to a set closed under
-/// successors, and its feeds relation is the transpose of the forward one.
+/// which runs `EF` on [`FixpointStrategy::Saturation`]: its "image" under
+/// a transition is the transition's pre-image restricted to a set closed
+/// under successors, and its feeds relation is the transpose of the
+/// forward one.
 pub(crate) trait FixpointKernel {
     /// A handle to a set of markings in the backend's manager.
     type Set: Copy + PartialEq;
@@ -309,35 +312,34 @@ pub(crate) trait FixpointKernel {
     /// checkpointed at the same sites the budget already forces a check
     /// at. No-op by default.
     fn observe_pass(&mut self, _reached: Self::Set, _iteration: usize) {}
-    /// Number of transition clusters.
-    fn num_clusters(&self) -> usize;
-    /// The clusters in structural order (see
+    /// Number of transitions.
+    fn num_transitions(&self) -> usize;
+    /// The transitions in firing order (see
     /// [`structural_transition_ranks`](crate::plan::structural_transition_ranks)):
-    /// the firing order within a saturation level, so a level's inner
-    /// fixpoint fires along the net's flow.
-    fn cluster_sequence(&self) -> Vec<usize>;
+    /// the order within a saturation level, so a level's inner fixpoint
+    /// fires along the net's flow.
+    fn firing_order(&self) -> Vec<usize>;
     /// The topmost (smallest) decision-diagram level among the variables
-    /// the cluster writes; clusters touching nothing report `u32::MAX`.
-    /// Drives the level bucketing of [`FixpointStrategy::Saturation`].
-    fn cluster_top_level(&self, cluster: usize) -> u32;
-    /// Whether firing `from` can newly enable a transition of `to`
-    /// (structurally: some member of `from` produces into the pre-set of a
-    /// member of `to`). [`FixpointStrategy::Saturation`] terminates as
-    /// soon as no cluster is dirty, with no confirming image pass, so this
-    /// relation is **load-bearing for soundness**: it must include every
-    /// pair where a firing of `from` can mark a pre-place of `to` (an
-    /// over-approximation is fine and only costs redundant sweeps; a
-    /// missed pair silently truncates the fixpoint).
-    fn cluster_feeds(&self, from: usize, to: usize) -> bool;
-    /// The image of `from` under every transition of `cluster`, or a typed
-    /// [`Interrupt`] when the backend's budget breached mid-computation.
-    /// On `Err` the backend must be left consistent: every completed node
-    /// and cache entry valid, no protection acquired for the partial work.
-    fn cluster_image(&mut self, cluster: usize, from: Self::Set) -> Result<Self::Set, Interrupt>;
-    /// Set union (fallible like [`FixpointKernel::cluster_image`]).
+    /// the transition writes; a transition writing nothing reports
+    /// `u32::MAX`. Drives the level bucketing of
+    /// [`FixpointStrategy::Saturation`].
+    fn top_level(&self, t: usize) -> u32;
+    /// Whether firing `from` can newly enable `to` (structurally: `from`
+    /// produces into the pre-set of `to`). [`FixpointStrategy::Saturation`]
+    /// terminates as soon as no transition is dirty, with no confirming
+    /// image pass, so this relation is **load-bearing for soundness**: it
+    /// must include every pair where a firing of `from` can mark a
+    /// pre-place of `to` (an over-approximation is fine and only costs
+    /// redundant sweeps; a missed pair silently truncates the fixpoint).
+    fn feeds(&self, from: usize, to: usize) -> bool;
+    /// The image of `from` under transition `t`, or a typed [`Interrupt`]
+    /// when the backend's budget breached mid-computation. On `Err` the
+    /// backend must be left consistent: every completed node and cache
+    /// entry valid, no protection acquired for the partial work.
+    fn fire(&mut self, t: usize, from: Self::Set) -> Result<Self::Set, Interrupt>;
+    /// Set union (fallible like [`FixpointKernel::fire`]).
     fn union(&mut self, a: Self::Set, b: Self::Set) -> Result<Self::Set, Interrupt>;
-    /// Set difference `a \ b` (fallible like
-    /// [`FixpointKernel::cluster_image`]).
+    /// Set difference `a \ b` (fallible like [`FixpointKernel::fire`]).
     fn diff(&mut self, a: Self::Set, b: Self::Set) -> Result<Self::Set, Interrupt>;
     /// Forced budget check at a pass boundary. Unlike the amortized checks
     /// inside the kernel recursions this fires every time it is called, so
@@ -353,8 +355,8 @@ pub(crate) trait FixpointKernel {
     fn unprotect(&mut self, _s: Self::Set) {}
     /// Between-iteration maintenance (garbage collection). Called only
     /// when every live root is protected. Must not reorder variables:
-    /// [`FixpointStrategy::Saturation`] buckets the clusters by
-    /// [`FixpointKernel::cluster_top_level`] once, before the first pass.
+    /// [`FixpointStrategy::Saturation`] buckets the transitions by
+    /// [`FixpointKernel::top_level`] once, before the first pass.
     fn maintain(&mut self) {}
 }
 
@@ -396,8 +398,8 @@ fn bfs<K: FixpointKernel>(
         governed!(truncated, 'run, kernel.checkpoint());
         let source = if use_frontier { frontier } else { reached };
         let mut image = empty;
-        for cluster in 0..kernel.num_clusters() {
-            let img = governed!(truncated, 'run, kernel.cluster_image(cluster, source));
+        for t in 0..kernel.num_transitions() {
+            let img = governed!(truncated, 'run, kernel.fire(t, source));
             image = governed!(truncated, 'run, kernel.union(image, img));
         }
         let new = governed!(truncated, 'run, kernel.diff(image, reached));
@@ -426,24 +428,24 @@ fn bfs<K: FixpointKernel>(
     }
 }
 
-/// Buckets the clusters by their topmost written level, deepest level
-/// first, keeping the structural order within each bucket so a
-/// level's inner fixpoint still fires along the net's flow. Returns the
-/// buckets and the inverse map `level_of[cluster] = bucket index`.
+/// Buckets the transitions by their topmost written level, deepest level
+/// first, keeping the firing order within each bucket so a level's inner
+/// fixpoint still fires along the net's flow. Returns the buckets and the
+/// inverse map `level_of[t] = bucket index`.
 fn saturation_buckets<K: FixpointKernel>(kernel: &K) -> (Vec<Vec<usize>>, Vec<usize>) {
     let mut buckets: std::collections::BTreeMap<std::cmp::Reverse<u32>, Vec<usize>> =
         std::collections::BTreeMap::new();
-    for cluster in kernel.cluster_sequence() {
+    for t in kernel.firing_order() {
         buckets
-            .entry(std::cmp::Reverse(kernel.cluster_top_level(cluster)))
+            .entry(std::cmp::Reverse(kernel.top_level(t)))
             .or_default()
-            .push(cluster);
+            .push(t);
     }
     let levels: Vec<Vec<usize>> = buckets.into_values().collect();
-    let mut level_of = vec![0usize; kernel.num_clusters()];
+    let mut level_of = vec![0usize; kernel.num_transitions()];
     for (li, level) in levels.iter().enumerate() {
-        for &c in level {
-            level_of[c] = li;
+        for &t in level {
+            level_of[t] = li;
         }
     }
     (levels, level_of)
@@ -454,16 +456,16 @@ fn saturation<K: FixpointKernel>(
     max_iterations: Option<usize>,
 ) -> FixpointRun<K::Set> {
     let (levels, level_of) = saturation_buckets(kernel);
-    let num_clusters = kernel.num_clusters();
-    // `feeds[c]` = the clusters whose pre-set intersects the post-set of
-    // cluster `c`: the only clusters a productive firing of `c` can newly
+    let num_transitions = kernel.num_transitions();
+    // `feeds[t]` = the transitions whose pre-set intersects the post-set of
+    // `t`: the only transitions a productive firing of `t` can newly
     // enable. A transition becomes enabled exactly when a place of its
-    // pre-set gets marked, so firing `c` dirties precisely these clusters
-    // — the event-locality invariant saturation exploits.
-    let feeds: Vec<Vec<usize>> = (0..num_clusters)
-        .map(|c| {
-            (0..num_clusters)
-                .filter(|&b| kernel.cluster_feeds(c, b))
+    // pre-set gets marked, so firing `t` dirties precisely these
+    // transitions — the event-locality invariant saturation exploits.
+    let feeds: Vec<Vec<usize>> = (0..num_transitions)
+        .map(|t| {
+            (0..num_transitions)
+                .filter(|&u| kernel.feeds(t, u))
                 .collect()
         })
         .collect();
@@ -474,17 +476,17 @@ fn saturation<K: FixpointKernel>(
     let mut iterations = 0usize;
     let mut truncated = None;
     // Bottom-up passes over the level buckets, firing only *dirty*
-    // clusters: every cluster starts dirty, firing cleans it, and a
-    // productive firing re-dirties exactly the clusters it feeds. A dirty
-    // level runs a nested inner fixpoint — it is re-swept until its own
-    // firings stop feeding it — before any higher level fires, so the
+    // transitions: every transition starts dirty, firing cleans it, and a
+    // productive firing re-dirties exactly the transitions it feeds. A
+    // dirty level runs a nested inner fixpoint — it is re-swept until its
+    // own firings stop feeding it — before any higher level fires, so the
     // deep tail of the diagram is saturated while it is still small, and
-    // higher clusters only re-fire when a lower level changed under them.
-    // The fixpoint is reached when nothing is dirty; clean clusters are
+    // higher transitions only re-fire when a lower level changed under
+    // them. The fixpoint is reached when nothing is dirty; clean ones are
     // provably saturated (a transition newly enabled by a later firing
     // has a feeding ancestor that re-dirtied it), so no confirming image
     // pass is needed at all.
-    let mut dirty = vec![true; num_clusters];
+    let mut dirty = vec![true; num_transitions];
     let mut dirty_level = vec![true; levels.len()];
     'outer: while dirty_level.iter().any(|&d| d) {
         for li in 0..levels.len() {
@@ -501,12 +503,12 @@ fn saturation<K: FixpointKernel>(
                 governed!(truncated, 'outer, kernel.checkpoint());
                 dirty_level[li] = false;
                 let mut changed = false;
-                for &cluster in &levels[li] {
-                    if !dirty[cluster] {
+                for &t in &levels[li] {
+                    if !dirty[t] {
                         continue;
                     }
-                    dirty[cluster] = false;
-                    let img = governed!(truncated, 'outer, kernel.cluster_image(cluster, reached));
+                    dirty[t] = false;
+                    let img = governed!(truncated, 'outer, kernel.fire(t, reached));
                     // `union != reached` detects productivity directly;
                     // computing the difference first would walk the same
                     // diagrams twice.
@@ -518,7 +520,7 @@ fn saturation<K: FixpointKernel>(
                     kernel.unprotect(reached);
                     reached = next_reached;
                     changed = true;
-                    for &fed in &feeds[cluster] {
+                    for &fed in &feeds[t] {
                         dirty[fed] = true;
                         dirty_level[level_of[fed]] = true;
                     }
@@ -551,8 +553,8 @@ fn saturation<K: FixpointKernel>(
 /// productive pass boundary of the fixpoint.
 pub type PassObserver<'h> = dyn FnMut(&SymbolicContext, Ref, usize) + 'h;
 
-/// The BDD backend of the generic driver: cluster images through the
-/// context's [`ImagePlan`], manager protection and adaptive GC. The
+/// The BDD backend of the generic driver: per-transition images through
+/// the context's [`ImagePlan`], manager protection and adaptive GC. The
 /// backward kernel of the CTL checker wraps it and reuses its set algebra,
 /// protections and forced checkpoint.
 pub(crate) struct BddFixpointKernel<'a, 'h> {
@@ -583,32 +585,32 @@ impl FixpointKernel for BddFixpointKernel<'_, '_> {
         }
     }
 
-    fn num_clusters(&self) -> usize {
-        self.plan.num_clusters()
+    fn num_transitions(&self) -> usize {
+        self.plan.transitions().len()
     }
 
-    fn cluster_sequence(&self) -> Vec<usize> {
-        self.plan.structural_order().to_vec()
+    fn firing_order(&self) -> Vec<usize> {
+        self.plan.schedule().firing_order().to_vec()
     }
 
-    fn cluster_top_level(&self, cluster: usize) -> u32 {
-        // The topmost variable the cluster writes, at its level in the
-        // present order.
+    fn top_level(&self, t: usize) -> u32 {
+        // The target cube's root is the topmost variable the transition
+        // writes, at its level in the present order.
         let manager = self.ctx.manager();
-        self.plan.clusters()[cluster]
-            .var_indices
-            .iter()
-            .map(|&i| manager.level_of(SymbolicContext::state_var(i)))
-            .min()
-            .unwrap_or(u32::MAX)
+        manager
+            .root_var(self.plan.transitions()[t].target)
+            .map_or(u32::MAX, |v| manager.level_of(v))
     }
 
-    fn cluster_feeds(&self, from: usize, to: usize) -> bool {
-        self.plan.cluster_feeds(from, to)
+    fn feeds(&self, from: usize, to: usize) -> bool {
+        self.plan.schedule().feeds(from, to)
     }
 
-    fn cluster_image(&mut self, cluster: usize, from: Ref) -> Result<Ref, Interrupt> {
-        self.ctx.try_cluster_image(cluster, from)
+    fn fire(&mut self, t: usize, from: Ref) -> Result<Ref, Interrupt> {
+        let planned = &self.plan.transitions()[t];
+        self.ctx
+            .manager_mut()
+            .try_and_exists_assign(from, planned.enabling, planned.target)
     }
 
     fn union(&mut self, a: Ref, b: Ref) -> Result<Ref, Interrupt> {

@@ -6,25 +6,24 @@
 //! family of sets stored in a [`ZddManager`]. Firing a transition `t` on a
 //! family `S` is the set-algebraic update
 //! `change(t•, subset1(•t, S))`: keep the markings containing every input
-//! place, strip the input places, then add the output places. Both the
-//! forward and the backward update of every transition are registered
-//! **once** as fused [`ZddUpdate`]s (the ZDD analogue of the BDD kernel's
-//! fused relational product), so one firing is one cached diagram
-//! traversal instead of one `subset1`/`subset0`/`change` pass per place
-//! and no intermediate family is ever built.
+//! place, strip the input places, then add the output places. The update
+//! of every transition is registered **once** as a fused [`ZddUpdate`]
+//! (the ZDD analogue of the BDD kernel's one-pass image), so one firing is
+//! one cached diagram traversal instead of one `subset1`/`change` pass per
+//! place and no intermediate family is ever built.
 //!
 //! The engine runs on the same generic fixpoint driver as the BDD engine
 //! (see [`crate::traverse`]), so it supports the same
-//! [`FixpointStrategy`] selection — each transition forms its own cluster,
-//! with its fused updates and its topmost touched level (for the
-//! saturation strategy) precomputed once per context.
+//! [`FixpointStrategy`] selection, and on the same firing schedule as the
+//! BDD plan; each transition's fused update and topmost touched level (for
+//! the saturation strategy) are precomputed once per context.
 
-use crate::plan::structural_transition_ranks;
+use crate::plan::FiringSchedule;
 use crate::traverse::{run_fixpoint, FixpointKernel, FixpointStrategy};
 use pnsym_bdd::{
     Budget, Interrupt, TruncationReason, ZddManager, ZddRef, ZddUpdate, ZddUpdateAction,
 };
-use pnsym_net::{PetriNet, PlaceId, PlaceSet, TransitionId};
+use pnsym_net::{PetriNet, TransitionId};
 use std::time::{Duration, Instant};
 
 /// The outcome of a ZDD-based reachability traversal.
@@ -53,16 +52,13 @@ pub struct ZddReachabilityResult {
     pub strategy: FixpointStrategy,
 }
 
-/// One transition's precomputed set-algebraic updates: the fused forward
-/// and backward firing, plus the topmost (smallest) place index it touches
-/// for the saturation strategy's level bucketing.
+/// One transition's precomputed firing: the fused update, plus the topmost
+/// (smallest) place index it touches for the saturation strategy's level
+/// bucketing.
 #[derive(Debug, Clone, Copy)]
 struct ZddTransitionOp {
-    /// Forward firing: require and strip the pre-set, add the post-set.
-    fwd: ZddUpdate,
-    /// Backward firing: require and strip the post-set, restore the
-    /// pre-set (filtering markings that still hold a consumed place).
-    bwd: ZddUpdate,
+    /// The firing: require and strip the pre-set, add the post-set.
+    update: ZddUpdate,
     /// `min(pre ∪ post)`, the topmost level the transition rewrites.
     top: u32,
 }
@@ -73,21 +69,16 @@ pub struct ZddContext {
     net: PetriNet,
     manager: ZddManager,
     initial: ZddRef,
-    /// Per-transition pre/post index lists, built once.
+    /// Per-transition fused updates, built once.
     ops: Vec<ZddTransitionOp>,
-    /// Per-transition pre-sets and post-sets, backing the O(words) feeds
-    /// test of the saturation scheduler.
-    pre_bits: Vec<PlaceSet>,
-    post_bits: Vec<PlaceSet>,
-    /// Transition indices sorted by structural rank (the firing order
-    /// within a saturation level).
-    structural_order: Vec<usize>,
+    /// The firing order and feeds test of the saturation scheduler.
+    schedule: FiringSchedule,
 }
 
 impl ZddContext {
     /// Builds the ZDD context for a net: one ZDD element per place, with
-    /// the per-transition fused updates (forward and backward) and the
-    /// static structural order precomputed.
+    /// the per-transition fused updates and the firing schedule
+    /// precomputed.
     pub fn new(net: &PetriNet) -> Self {
         let mut manager = ZddManager::new(net.num_places());
         let marked: Vec<usize> = net
@@ -102,28 +93,20 @@ impl ZddContext {
             .map(|t| {
                 let pre: Vec<usize> = net.pre_set(t).iter().map(|p| p.index()).collect();
                 let post: Vec<usize> = net.post_set(t).iter().map(|p| p.index()).collect();
-                // Forward: a self-loop place is required but kept, a plain
-                // input is required and stripped, a plain output toggled in.
-                let mut fwd: Vec<(usize, ZddUpdateAction)> = Vec::new();
-                // Backward: the mirror image — strip the post-set, restore
-                // the pre-set; a consumed place still present in the target
-                // marking has no predecessor through this transition.
-                let mut bwd: Vec<(usize, ZddUpdateAction)> = Vec::new();
-                for &p in &pre {
-                    if post.contains(&p) {
-                        fwd.push((p, ZddUpdateAction::RequireKeep));
-                        bwd.push((p, ZddUpdateAction::RequireKeep));
-                    } else {
-                        fwd.push((p, ZddUpdateAction::RequireRemove));
-                        bwd.push((p, ZddUpdateAction::ForbidAdd));
-                    }
-                }
-                for &p in &post {
-                    if !pre.contains(&p) {
-                        fwd.push((p, ZddUpdateAction::Toggle));
-                        bwd.push((p, ZddUpdateAction::RequireRemove));
-                    }
-                }
+                // A self-loop place is required but kept, a plain input is
+                // required and stripped, a plain output toggled in.
+                let mut update: Vec<(usize, ZddUpdateAction)> = pre
+                    .iter()
+                    .map(|&p| {
+                        if post.contains(&p) {
+                            (p, ZddUpdateAction::RequireKeep)
+                        } else {
+                            (p, ZddUpdateAction::RequireRemove)
+                        }
+                    })
+                    .collect();
+                let produced = post.iter().filter(|p| !pre.contains(p));
+                update.extend(produced.map(|&p| (p, ZddUpdateAction::Toggle)));
                 let top = pre
                     .iter()
                     .chain(&post)
@@ -131,30 +114,17 @@ impl ZddContext {
                     .min()
                     .map_or(u32::MAX, |p| p as u32);
                 ZddTransitionOp {
-                    fwd: manager.register_update(&fwd),
-                    bwd: manager.register_update(&bwd),
+                    update: manager.register_update(&update),
                     top,
                 }
             })
             .collect();
-        let ranks = structural_transition_ranks(net);
-        let mut structural_order: Vec<usize> = (0..net.num_transitions()).collect();
-        structural_order.sort_by_key(|&t| (ranks[t], t));
-        let place_sets = |arcs: fn(&PetriNet, TransitionId) -> &[PlaceId]| -> Vec<PlaceSet> {
-            net.transitions()
-                .map(|t| PlaceSet::from_places(net.num_places(), arcs(net, t).iter().copied()))
-                .collect()
-        };
-        let pre_bits = place_sets(PetriNet::pre_set);
-        let post_bits = place_sets(PetriNet::post_set);
         ZddContext {
             net: net.clone(),
             manager,
             initial,
             ops,
-            pre_bits,
-            post_bits,
-            structural_order,
+            schedule: FiringSchedule::new(net),
         }
     }
 
@@ -185,7 +155,7 @@ impl ZddContext {
     }
 
     fn image_of(&mut self, ti: usize, from: ZddRef) -> ZddRef {
-        self.manager.apply_update(from, self.ops[ti].fwd)
+        self.manager.apply_update(from, self.ops[ti].update)
     }
 
     /// One full breadth-first step: the union of all single-transition
@@ -195,34 +165,6 @@ impl ZddContext {
         for ti in 0..self.ops.len() {
             let img = self.image_of(ti, from);
             acc = self.manager.union(acc, img);
-        }
-        acc
-    }
-
-    /// The pre-image of the family `target` under transition `t`: the
-    /// markings that enable `t` and reach a marking of `target` by firing
-    /// it — the backward mirror of [`ZddContext::image`], used by the CTL
-    /// checker's cross-validation suites. Like the forward direction, one
-    /// fused cached traversal through the precomputed backward update
-    /// (which filters out target markings that still hold a consumed
-    /// place, since those have no predecessor through `t`).
-    pub fn pre_image(&mut self, target: ZddRef, t: TransitionId) -> ZddRef {
-        self.pre_image_of(t.index(), target)
-    }
-
-    fn pre_image_of(&mut self, ti: usize, target: ZddRef) -> ZddRef {
-        self.manager.apply_update(target, self.ops[ti].bwd)
-    }
-
-    /// The pre-image of `target` under all transitions (one backward step),
-    /// folded straight over the precomputed per-transition backward
-    /// updates — no temporary transition collection, mirroring the forward
-    /// path.
-    pub fn pre_image_all(&mut self, target: ZddRef) -> ZddRef {
-        let mut acc = self.manager.empty();
-        for ti in 0..self.ops.len() {
-            let pre = self.pre_image_of(ti, target);
-            acc = self.manager.union(acc, pre);
         }
         acc
     }
@@ -241,7 +183,7 @@ impl ZddContext {
 
     /// Like [`ZddContext::reachable_markings_with`], but under a resource
     /// [`Budget`]: the budget is installed into the ZDD manager for the
-    /// duration of the run and every cluster firing checks it
+    /// duration of the run and every firing checks it
     /// cooperatively. On a breach the driver unwinds with the partial
     /// reached family and records the [`TruncationReason`].
     pub fn reachable_markings_governed(
@@ -280,8 +222,7 @@ impl ZddContext {
     }
 }
 
-/// The ZDD backend of the generic driver: one cluster per transition, no
-/// garbage collection (the ZDD manager never frees nodes), so the
+/// The ZDD backend of the generic driver: no garbage collection (the ZDD manager never frees nodes), so the
 /// protection and maintenance hooks stay no-ops.
 struct ZddFixpointKernel<'a> {
     ctx: &'a mut ZddContext,
@@ -298,24 +239,24 @@ impl FixpointKernel for ZddFixpointKernel<'_> {
         self.ctx.initial
     }
 
-    fn num_clusters(&self) -> usize {
+    fn num_transitions(&self) -> usize {
         self.ctx.ops.len()
     }
 
-    fn cluster_sequence(&self) -> Vec<usize> {
-        self.ctx.structural_order.clone()
+    fn firing_order(&self) -> Vec<usize> {
+        self.ctx.schedule.firing_order().to_vec()
     }
 
-    fn cluster_top_level(&self, cluster: usize) -> u32 {
-        self.ctx.ops[cluster].top
+    fn top_level(&self, t: usize) -> u32 {
+        self.ctx.ops[t].top
     }
 
-    fn cluster_feeds(&self, from: usize, to: usize) -> bool {
-        self.ctx.post_bits[from].intersects(&self.ctx.pre_bits[to])
+    fn feeds(&self, from: usize, to: usize) -> bool {
+        self.ctx.schedule.feeds(from, to)
     }
 
-    fn cluster_image(&mut self, cluster: usize, from: ZddRef) -> Result<ZddRef, Interrupt> {
-        let update = self.ctx.ops[cluster].fwd;
+    fn fire(&mut self, t: usize, from: ZddRef) -> Result<ZddRef, Interrupt> {
+        let update = self.ctx.ops[t].update;
         self.ctx.manager.try_apply_update(from, update)
     }
 
@@ -410,97 +351,6 @@ mod tests {
         // A disabled transition yields the empty family.
         let t7 = net.transition_by_name("t7").unwrap();
         assert_eq!(ctx.image(init, t7), ctx.manager().empty());
-    }
-
-    #[test]
-    fn pre_image_inverts_the_token_game() {
-        // Firing is deterministic, so the pre-image of a single marking
-        // under one transition is empty or a single marking that fires
-        // back onto it; every explicit edge must be recovered.
-        for net in [figure1(), philosophers(2), slotted_ring(2)] {
-            let rg = net.explore().unwrap();
-            let mut ctx = ZddContext::new(&net);
-            for m in rg.markings() {
-                let elements: Vec<usize> = m.marked_places().iter().map(|p| p.index()).collect();
-                let family = ctx.manager_mut().single_set(&elements);
-                for t in net.transitions() {
-                    let pre = ctx.pre_image(family, t);
-                    let count = ctx.manager().count(pre);
-                    assert!(count <= 1.0, "{}: firing is deterministic", net.name());
-                    for set in ctx.manager().sets(pre) {
-                        let mut pred = pnsym_net::Marking::empty(net.num_places());
-                        for e in set {
-                            pred.set(pnsym_net::PlaceId(e as u32), true);
-                        }
-                        let fired = net.fire(&pred, t).expect("pre-image enables t");
-                        assert_eq!(&fired, m, "{}: pre-image fires back", net.name());
-                    }
-                }
-            }
-            // Every explicit edge is recovered by the backward step.
-            for &(from, t, to) in rg.edges() {
-                let to_elements: Vec<usize> = rg
-                    .marking(to)
-                    .marked_places()
-                    .iter()
-                    .map(|p| p.index())
-                    .collect();
-                let family = ctx.manager_mut().single_set(&to_elements);
-                let pre = ctx.pre_image(family, t);
-                let from_elements: Vec<usize> = rg
-                    .marking(from)
-                    .marked_places()
-                    .iter()
-                    .map(|p| p.index())
-                    .collect();
-                assert!(
-                    ctx.manager().contains(pre, &from_elements),
-                    "{}: edge {}→{} via {} is in the pre-image",
-                    net.name(),
-                    from,
-                    to,
-                    net.transition_name(t)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pre_image_filters_markings_without_predecessors() {
-        // In figure1, t1 consumes p1 and produces p2, p3: a "target"
-        // marking containing p1 alongside p2 and p3 cannot have been
-        // produced by t1, so its pre-image must be empty.
-        let net = figure1();
-        let mut ctx = ZddContext::new(&net);
-        let idx = |n: &str| net.place_by_name(n).unwrap().index();
-        let t1 = net.transition_by_name("t1").unwrap();
-        let bogus = ctx
-            .manager_mut()
-            .single_set(&[idx("p1"), idx("p2"), idx("p3")]);
-        assert_eq!(ctx.pre_image(bogus, t1), ctx.manager().empty());
-        let genuine = ctx.manager_mut().single_set(&[idx("p2"), idx("p3")]);
-        let pre = ctx.pre_image(genuine, t1);
-        assert!(ctx.manager().contains(pre, &[idx("p1")]));
-    }
-
-    #[test]
-    fn pre_image_all_unions_per_transition_pre_images() {
-        let net = philosophers(2);
-        let mut ctx = ZddContext::new(&net);
-        let reached = ctx.reachable_markings().reached;
-        let full = ctx.pre_image_all(reached);
-        let mut acc = ctx.manager_mut().empty();
-        for t in net.transitions() {
-            let pre = ctx.pre_image(reached, t);
-            acc = ctx.manager_mut().union(acc, pre);
-        }
-        assert_eq!(full, acc);
-        // Every live reachable marking is its own backward-step witness:
-        // reached ∩ pre_image_all(reached) are exactly the non-deadlocks.
-        let live = ctx.manager_mut().intersect(reached, full);
-        let rg = net.explore().unwrap();
-        let expected = (rg.num_markings() - rg.deadlocks(&net).len()) as f64;
-        assert_eq!(ctx.manager().count(live), expected);
     }
 
     #[test]

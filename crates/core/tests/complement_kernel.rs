@@ -106,8 +106,9 @@ proptest! {
             if matches!(strategy, FixpointStrategy::Bfs { .. }) {
                 // Breadth-first steps count the state-space depth, which
                 // no representation choice may change. (Saturation sweep
-                // counts depend on the cluster granularity, which
-                // legitimately differs between the two backends.)
+                // counts differ, because each backend buckets the
+                // transitions by its own levels: BDD variables here,
+                // places there.)
                 prop_assert_eq!(zrun.iterations, run.iterations, "{} iterations", strategy);
             }
         }
@@ -130,7 +131,7 @@ proptest! {
 
         let mut ctx = context(&net);
         // Force the lazily built image plan first: constructing it protects
-        // the cluster relations, which would otherwise pollute the baseline.
+        // the target cubes, which would otherwise pollute the baseline.
         let warmup = ctx.reachable_markings_with(TraversalOptions::default());
         ctx.manager_mut().unprotect(warmup.reached);
         let before = ctx.manager().protected_root_count();

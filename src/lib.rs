@@ -53,10 +53,10 @@ pub use pnsym_core::{
     analyze, analyze_zdd, analyze_zdd_governed, analyze_zdd_with, build_encoding,
     toggling_activity, toggling_of_state_codes, AnalysisError, AnalysisOptions, AnalysisReport,
     AssignmentStrategy, Block, Budget, CheckReport, DegradationStep, Encoding, ExplicitChecker,
-    FixpointStrategy, ImageCluster, ImagePlan, Interrupt, ParseStrategyError, PassObserver,
-    PortfolioReport, Property, PropertyParseError, ReachabilityResult, SchemeKind, SiftPolicy,
-    SymbolicContext, TogglingReport, TraceKind, TransitionEffect, TraversalOptions,
-    TruncationReason, WitnessTrace, ZddAnalysisReport, ZddContext, ZddReachabilityResult,
+    FixpointStrategy, ImagePlan, Interrupt, ParseStrategyError, PassObserver, PortfolioReport,
+    Property, PropertyParseError, ReachabilityResult, SchemeKind, SiftPolicy, SymbolicContext,
+    TogglingReport, TraceKind, TransitionEffect, TraversalOptions, TruncationReason, WitnessTrace,
+    ZddAnalysisReport, ZddContext, ZddReachabilityResult,
 };
 #[cfg(feature = "fault-inject")]
 pub use pnsym_core::{DiskFaultSchedule, DiskFaultSite, FaultSchedule, FaultSite};
